@@ -102,26 +102,20 @@ CellResult granii::bench::runCell(BenchContext &Ctx, BaselineSystem Sys,
   LayerParams Params = makeLayerParams(Model, G, KIn, KOut, /*Seed=*/5);
   const int Iters = Ctx.iterations();
 
+  // One path for both arms: a fresh workspace run cold (buffer planning,
+  // permutation build and every other one-time cost land in its
+  // SetupSeconds), then warm for the per-iteration cost.
   auto TotalOf = [&](const CompositionPlan &Plan, ReorderPolicy Policy) {
-    if (Policy == ReorderPolicy::None) {
-      ExecResult R =
-          Training ? Exec.runTraining(Plan, Params.inputs(), Params.Stats)
-                   : Exec.run(Plan, Params.inputs(), Params.Stats);
-      return R.totalSeconds(Iters, Training);
-    }
-    // Workspace path: warm up once (buffer planning + permutation build are
-    // not steady-state costs), then charge the second run, whose
-    // SetupSeconds still carry the one-time reordering cost for honest
-    // amortized accounting.
     PlanWorkspace Ws;
-    ExecResult R;
-    for (int Pass = 0; Pass < 2; ++Pass) {
+    ExecResult Cold, Warm;
+    for (ExecResult *R : {&Cold, &Warm}) {
       if (Training)
-        Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws, R, Policy);
+        Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws, *R, Policy);
       else
-        Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R, Policy);
+        Exec.run(Plan, Params.inputs(), Params.Stats, Ws, *R, Policy);
     }
-    return R.totalSeconds(Iters, Training);
+    Warm.SetupSeconds = Cold.SetupSeconds;
+    return Warm.totalSeconds(Iters, Training);
   };
 
   CellResult Cell;

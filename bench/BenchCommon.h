@@ -83,12 +83,13 @@ struct CellResult {
   double GraniiBytes = 0.0;
 };
 
-/// Runs one cell end to end (executes both plans once; 100-iteration totals
-/// follow the setup/per-iteration accounting). A non-None \p Reorder runs
-/// the GRANII side through the workspace path on a relabeled graph:
-/// permutation construction lands in setup (amortized over the horizon),
-/// the per-iteration feature gather / output scatter in forward time, so
-/// the reported speedup already pays reordering's full cost.
+/// Runs one cell end to end (executes both plans cold, then warm; setup
+/// comes from the cold run and 100-iteration totals follow the
+/// setup/per-iteration accounting). A non-None \p Reorder runs the GRANII
+/// side on a relabeled graph: permutation construction lands in setup
+/// (amortized over the horizon), the per-iteration feature gather / output
+/// scatter in forward time, so the reported speedup already pays
+/// reordering's full cost.
 CellResult runCell(BenchContext &Ctx, BaselineSystem Sys, ModelKind Kind,
                    const std::string &Hw, const Graph &G, int64_t KIn,
                    int64_t KOut, bool Training,

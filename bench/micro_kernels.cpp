@@ -344,7 +344,8 @@ int runJsonMode(const std::string &Path) {
       DenseMatrix H = randomDense(G.numNodes(), K, 4);
       DenseMatrix Out(G.numNodes(), K);
       std::vector<float> EdgeOut(static_cast<size_t>(A.nnz()));
-      EllMatrix Ell = EllMatrix::fromCsr(A);
+      // ELL is sliced ELL with a single slice.
+      SellMatrix Ell = SellMatrix::fromCsr(A, A.rows());
       SellMatrix Sell = SellMatrix::fromCsr(A);
       HybMatrix Hyb = HybMatrix::fromCsr(A);
       PrimitiveDesc SpmmDesc{PrimitiveKind::SpMMWeighted, G.numNodes(), K, 0,
@@ -355,39 +356,23 @@ int runJsonMode(const std::string &Path) {
         if (Format == SparseFormat::Csr)
           continue;
         const std::string Name = sparseFormatName(Format);
+        const SellMatrix &Sliced = Format == SparseFormat::Ell ? Ell : Sell;
         MeasureFormat(
             "spmm_w/64/" + Name, G.name(), K, K, SpmmDesc, Name, [&] {
-              switch (Format) {
-              case SparseFormat::Ell:
-                kernels::spmmEllInto(Ell, Vals, H, Semiring::plusTimes(),
-                                     Out);
-                break;
-              case SparseFormat::Sell:
-                kernels::spmmSellInto(Sell, Vals, H, Semiring::plusTimes(),
+              if (Format == SparseFormat::Hyb)
+                kernels::spmmHybInto(Hyb, Vals, H, Semiring::plusTimes(), Out);
+              else
+                kernels::spmmSellInto(Sliced, Vals, H, Semiring::plusTimes(),
                                       Out);
-                break;
-              default:
-                kernels::spmmHybInto(Hyb, Vals, H, Semiring::plusTimes(),
-                                     Out);
-                break;
-              }
             });
         MeasureFormat(
             "sddmm_dot/64/" + Name, G.name(), K, K, SddmmDesc, Name, [&] {
-              switch (Format) {
-              case SparseFormat::Ell:
-                kernels::sddmmEllInto(Ell, H, H, Semiring::plusTimes(),
-                                      EdgeOut);
-                break;
-              case SparseFormat::Sell:
-                kernels::sddmmSellInto(Sell, H, H, Semiring::plusTimes(),
-                                       EdgeOut);
-                break;
-              default:
+              if (Format == SparseFormat::Hyb)
                 kernels::sddmmHybInto(Hyb, H, H, Semiring::plusTimes(),
                                       EdgeOut);
-                break;
-              }
+              else
+                kernels::sddmmSellInto(Sliced, H, H, Semiring::plusTimes(),
+                                       EdgeOut);
             });
       }
     }

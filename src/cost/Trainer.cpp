@@ -50,7 +50,7 @@ public:
       return;
     double Seconds = 0.0;
     if (Hw.kind() == PlatformKind::Measured) {
-      Body(); // Warm-up, matching the executor's per-iteration timing.
+      Body(); // Warm-up: a warm executor run follows an earlier iteration.
       Timer T;
       Body();
       Seconds = T.seconds();

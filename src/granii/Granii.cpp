@@ -4,7 +4,6 @@
 
 #include "assoc/PlanSerialize.h"
 #include "support/Error.h"
-#include "support/ThreadPool.h"
 #include "verify/VerifyBuffers.h"
 #include "verify/VerifyPlan.h"
 #include "support/Rng.h"
@@ -273,23 +272,9 @@ ExecResult Optimizer::execute(const Selection &Sel, const LayerParams &Params,
                               bool Training) const {
   const CompositionPlan &Plan = Promoted[Sel.PlanIndex];
   LayerInputs Inputs = Params.inputs();
-  if (Opts.Verify == VerifyLevel::Full) {
-    // Full: cross-check the buffer schedule the workspace will execute
-    // against recomputed live intervals, and the CSR row partition the
-    // parallel kernels will use against exclusive-coverage rules.
-    DimBinding Binding = Inputs.binding(&Plan);
-    DiagEngine Diags;
-    BufferPlan Buffers(Plan, Binding, Training);
-    verifyBufferPlan(Plan, Binding, Buffers, Diags);
-    const AlignedVector<int64_t> &RowOffsets = Params.AdjSelf.rowOffsets();
-    int64_t Chunks =
-        static_cast<int64_t>(ThreadPool::get().numThreads()) * 4;
-    verifyRowPartition(RowOffsets, csrRowPartitionBounds(RowOffsets, Chunks),
-                       Diags);
-    if (Diags.hasErrors())
-      GRANII_FATAL("execution schedule verification failed:\n" +
-                   Diags.render());
-  }
+  if (Opts.Verify == VerifyLevel::Full)
+    verifyExecutionSchedule(Plan, Inputs.binding(&Plan), Training,
+                            Params.AdjSelf.rowOffsets());
   // One persistent workspace per (plan, mode): repeated executions of the
   // same selection reuse the planned arena instead of reallocating every
   // intermediate (training pins all activations, so the two modes cannot

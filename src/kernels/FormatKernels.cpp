@@ -82,46 +82,6 @@ float generalSddmmEdge(const Semiring &S, const float *URow, const float *VRow,
 
 } // namespace
 
-void kernels::spmmEllInto(const EllMatrix &A, std::span<const float> Vals,
-                          const DenseMatrix &B, const Semiring &S,
-                          DenseMatrix &Dst) {
-  GRANII_CHECK(A.cols() == B.rows(), "spmm_ell dimension mismatch");
-  checkVals(Vals, A.nnz(), "spmm_ell");
-  checkDenseDst(Dst, A.rows(), B.cols(), "spmm_ell");
-  const auto &Offsets = A.rowOffsets();
-  const int64_t NCols = B.cols();
-  if (isSumLike(S)) {
-    // Row trampoline into the dispatched CSR row routine: each ELL row's
-    // live columns are contiguous (rowColsPtr) and its values sit at the
-    // CSR row offset, so a {0, len} offset pair makes SpmmRowRange — the
-    // very routine the CSR path runs — process the row unchanged.
-    const SimdOps &Ops = simdOps();
-    const SpmmCombine Combine = combineFor(S);
-    const bool Mean = S.Reduce == ReduceOpKind::Mean;
-    const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
-    parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-      for (int64_t R = RowBegin; R < RowEnd; ++R) {
-        const int64_t LocalOffsets[2] = {0, A.rowNnz(R)};
-        Ops.SpmmRowRange(LocalOffsets, A.rowColsPtr(R),
-                         ValsPtr ? ValsPtr + Offsets[R] : nullptr, B.data(),
-                         NCols, Dst.rowPtr(R), NCols, 0, NCols, Combine, Mean,
-                         0, 1);
-      }
-    });
-    return;
-  }
-  parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-    for (int64_t R = RowBegin; R < RowEnd; ++R) {
-      const int32_t *Cols = A.rowColsPtr(R);
-      const int64_t Base = Offsets[R];
-      generalReduceRow(S, Vals, B, Dst.rowPtr(R), NCols, A.rowNnz(R),
-                       [&](int64_t K) {
-                         return std::pair<int32_t, int64_t>(Cols[K], Base + K);
-                       });
-    }
-  });
-}
-
 void kernels::spmmSellInto(const SellMatrix &A, std::span<const float> Vals,
                            const DenseMatrix &B, const Semiring &S,
                            DenseMatrix &Dst) {
@@ -131,6 +91,10 @@ void kernels::spmmSellInto(const SellMatrix &A, std::span<const float> Vals,
   const auto &Offsets = A.rowOffsets();
   const int64_t NCols = B.cols();
   if (isSumLike(S)) {
+    // Row trampoline into the dispatched CSR row routine: each row's live
+    // columns are contiguous (rowColsPtr) and its values sit at the CSR row
+    // offset, so a {0, len} offset pair makes SpmmRowRange — the very
+    // routine the CSR path runs — process the row unchanged.
     const SimdOps &Ops = simdOps();
     const SpmmCombine Combine = combineFor(S);
     const bool Mean = S.Reduce == ReduceOpKind::Mean;
@@ -280,40 +244,6 @@ void kernels::spmmCscTransposedInto(const CscMatrix &A,
                          return std::pair<int32_t, int64_t>(
                              Rows[Begin + K], CsrIdx[Begin + K]);
                        });
-    }
-  });
-}
-
-void kernels::sddmmEllInto(const EllMatrix &Mask, const DenseMatrix &U,
-                           const DenseMatrix &V, const Semiring &S,
-                           std::span<float> Out) {
-  GRANII_CHECK(Mask.rows() == U.rows(), "sddmm_ell left operand row mismatch");
-  GRANII_CHECK(Mask.cols() == V.rows(), "sddmm_ell right operand row mismatch");
-  GRANII_CHECK(U.cols() == V.cols(), "sddmm_ell feature width mismatch");
-  GRANII_CHECK(static_cast<int64_t>(Out.size()) == Mask.nnz(),
-               "sddmm_ell destination length mismatch");
-  const auto &Offsets = Mask.rowOffsets();
-  const int64_t Width = U.cols();
-  if (isPlusTimes(S)) {
-    const SimdOps &Ops = simdOps();
-    parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-      for (int64_t R = RowBegin; R < RowEnd; ++R) {
-        const int64_t LocalOffsets[2] = {0, Mask.rowNnz(R)};
-        Ops.SddmmDotRowRange(LocalOffsets, Mask.rowColsPtr(R), U.rowPtr(R),
-                             Width, V.data(), Width, Out.data() + Offsets[R],
-                             0, Width, /*FirstTile=*/true, 0, 1);
-      }
-    });
-    return;
-  }
-  parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-    for (int64_t R = RowBegin; R < RowEnd; ++R) {
-      const float *URow = U.rowPtr(R);
-      const int32_t *Cols = Mask.rowColsPtr(R);
-      const int64_t Len = Mask.rowNnz(R);
-      for (int64_t K = 0; K < Len; ++K)
-        Out[static_cast<size_t>(Offsets[R] + K)] =
-            generalSddmmEdge(S, URow, V.rowPtr(Cols[K]), Width);
     }
   });
 }

@@ -1,14 +1,15 @@
 //===- FormatKernels.h - Per-format g-SpMM / g-SDDMM ------------*- C++ -*-===//
 ///
 /// \file
-/// g-SpMM and g-SDDMM over the non-CSR storage formats (ELL, sliced-ELL,
-/// hybrid, and CSC-transposed for the backward pass). Edge values are
-/// passed separately in CSR edge order (formats store structure only), so
-/// one structure conversion serves weighted and unweighted steps alike.
+/// g-SpMM and g-SDDMM over the non-CSR storage formats (sliced-ELL, which
+/// also stores plain ELL as one slice; hybrid; and CSC-transposed for the
+/// backward pass). Edge values are passed separately in CSR edge order
+/// (formats store structure only), so one structure conversion serves
+/// weighted and unweighted steps alike.
 ///
 /// Determinism contract: every variant visits each output row's neighbors
 /// in CSR order and routes the sum-like inner loops through the active
-/// SimdOps dispatch table (ELL/SELL rows call the table's SpmmRowRange
+/// SimdOps dispatch table (SELL rows call the table's SpmmRowRange
 /// directly; hybrid and CSC compose the table's AxpyRange/AddRange/
 /// ScaleRange, whose bodies are the per-neighbor steps of SpmmRowRange).
 /// Results are therefore bitwise identical to the CSR kernels at every ISA
@@ -22,7 +23,6 @@
 
 #include "tensor/CscMatrix.h"
 #include "tensor/DenseMatrix.h"
-#include "tensor/EllMatrix.h"
 #include "tensor/HybMatrix.h"
 #include "tensor/SellMatrix.h"
 #include "tensor/Semiring.h"
@@ -34,8 +34,6 @@ namespace kernels {
 
 /// Dst = A (x) B under \p S. \p Vals carries the edge values in CSR edge
 /// order (empty = unweighted); its length must be 0 or A.nnz().
-void spmmEllInto(const EllMatrix &A, std::span<const float> Vals,
-                 const DenseMatrix &B, const Semiring &S, DenseMatrix &Dst);
 void spmmSellInto(const SellMatrix &A, std::span<const float> Vals,
                   const DenseMatrix &B, const Semiring &S, DenseMatrix &Dst);
 void spmmHybInto(const HybMatrix &A, std::span<const float> Vals,
@@ -50,9 +48,6 @@ void spmmCscTransposedInto(const CscMatrix &A, std::span<const float> Vals,
 
 /// Per-edge sampled dense-dense products over a format-stored mask.
 /// \p Out receives one value per mask nonzero in CSR edge order.
-void sddmmEllInto(const EllMatrix &Mask, const DenseMatrix &U,
-                  const DenseMatrix &V, const Semiring &S,
-                  std::span<float> Out);
 void sddmmSellInto(const SellMatrix &Mask, const DenseMatrix &U,
                    const DenseMatrix &V, const Semiring &S,
                    std::span<float> Out);

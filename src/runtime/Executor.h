@@ -10,13 +10,12 @@
 /// speedups trail inference speedups).
 ///
 /// Execution is destination-passing throughout: every step writes its
-/// result through the kernels' `...Into` forms. Callers choose between the
-/// legacy per-call storage (run()/runTraining() returning an ExecResult —
-/// each call allocates its intermediates) and the arena path, where a
-/// PlanWorkspace holds BufferPlan-assigned slots that persist across calls
-/// so steady-state inference performs zero heap allocations. Both paths run
-/// the same kernels in the same order, so their outputs are bitwise
-/// identical.
+/// result through the kernels' `...Into` forms into a PlanWorkspace, whose
+/// BufferPlan-assigned slots persist across calls so steady-state inference
+/// performs zero heap allocations. There is one execution path: the
+/// by-value run()/runTraining() are thin wrappers that run a temporary
+/// workspace once cold and once warm, and every plan step executes exactly
+/// once per run.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +33,6 @@
 #include "tensor/CscMatrix.h"
 #include "tensor/CsrMatrix.h"
 #include "tensor/DenseMatrix.h"
-#include "tensor/EllMatrix.h"
 #include "tensor/HybMatrix.h"
 #include "tensor/SellMatrix.h"
 #include "tensor/SparseFormat.h"
@@ -85,42 +83,18 @@ struct ShardSpec {
 
 namespace detail {
 
-/// Runtime storage for one plan value. Inputs alias caller tensors
-/// (DenseRef/SparseRef/VecRef); produced values either own their payload
-/// (legacy path: Dense/Sparse/Vec members) or point into a PlanWorkspace
-/// slot (arena path: DensePtr/SparsePtr/VecPtr).
+/// Runtime binding of one plan value: inputs alias caller tensors, produced
+/// values point into a PlanWorkspace slot. Exactly one pointer matching
+/// Kind is set while a run executes.
 struct RtValue {
   PlanValueKind Kind = PlanValueKind::Dense;
-  DenseMatrix Dense;
-  CsrMatrix Sparse;
-  std::vector<float> Vec; // diagonal or node vector
-  DenseMatrix *DensePtr = nullptr;
-  CsrMatrix *SparsePtr = nullptr;
-  std::vector<float> *VecPtr = nullptr;
-  const DenseMatrix *DenseRef = nullptr;
-  const CsrMatrix *SparseRef = nullptr;
-  const std::vector<float> *VecRef = nullptr;
+  const DenseMatrix *Dense = nullptr;
+  const CsrMatrix *Sparse = nullptr;
+  const std::vector<float> *Vec = nullptr; // diagonal or node vector
 
-  const DenseMatrix &dense() const {
-    return DensePtr ? *DensePtr : DenseRef ? *DenseRef : Dense;
-  }
-  const CsrMatrix &sparse() const {
-    return SparsePtr ? *SparsePtr : SparseRef ? *SparseRef : Sparse;
-  }
-  const std::vector<float> &vec() const {
-    return VecPtr ? *VecPtr : VecRef ? *VecRef : Vec;
-  }
-
-  /// Drops aliases and slot pointers; owned storage is kept (its capacity
-  /// is what makes repeated legacy runs cheap and workspace scratch inert).
-  void resetBindings() {
-    DensePtr = nullptr;
-    SparsePtr = nullptr;
-    VecPtr = nullptr;
-    DenseRef = nullptr;
-    SparseRef = nullptr;
-    VecRef = nullptr;
-  }
+  const DenseMatrix &dense() const { return *Dense; }
+  const CsrMatrix &sparse() const { return *Sparse; }
+  const std::vector<float> &vec() const { return *Vec; }
 };
 
 /// Cached vertex-reordering state of a workspace: one (policy, graph) pair's
@@ -143,17 +117,16 @@ struct ReorderState {
 /// the forward format plus the lazily built CSC transpose the backward pass
 /// walks instead of re-materializing S^T every step. Structures hold column
 /// layout only; edge values stay in the operands' CSR-ordered arrays, so
-/// one conversion per (format, graph) covers weighted and unweighted steps.
+/// one conversion per (format, graph) covers weighted and unweighted steps,
+/// and every sparse value of a plan (all share the adjacency's pattern).
 struct FormatState {
   SparseFormat Format = SparseFormat::Csr;
   const CsrMatrix *SourceAdj = nullptr; ///< graph the cache was built for
   int64_t SourceNnz = 0;                ///< guards against pointer reuse
-  EllMatrix Ell;
-  SellMatrix Sell;
+  SellMatrix Sell; ///< `sell` (32-row slices) or `ell` (one slice)
   HybMatrix Hyb;
-  /// Backward transpose cache, keyed separately: the transposed operand is
-  /// a derived sparse value (attention weights share the adjacency
-  /// pattern), not necessarily the adjacency itself.
+  /// Backward transpose cache, keyed separately: it is needed under every
+  /// forward format, CSR included.
   CscMatrix Csc;
   const CsrMatrix *CscSource = nullptr;
   int64_t CscSourceNnz = 0;
@@ -311,20 +284,22 @@ public:
   void setStepProfiling(bool Enabled) { StepProfiling = Enabled; }
   bool stepProfiling() const { return StepProfiling; }
 
-  /// Runs the forward pass of \p Plan once with per-call storage.
+  /// Runs the forward pass of \p Plan through a temporary workspace: once
+  /// cold, then once warm. \returns the warm run — one iteration of an
+  /// amortized loop — with SetupSeconds taken from the cold run.
   ExecResult run(const CompositionPlan &Plan, const LayerInputs &Inputs,
                  const GraphStats &Stats) const;
 
-  /// Runs forward + backward once with per-call storage. Gradients are
-  /// computed with respect to every weight input (and features), seeded
-  /// with dL/dOut = 1.
+  /// Forward + backward with run()'s cold-then-warm accounting. Gradients
+  /// are computed with respect to every weight input (and features),
+  /// seeded with dL/dOut = 1.
   ExecResult runTraining(const CompositionPlan &Plan,
                          const LayerInputs &Inputs,
                          const GraphStats &Stats) const;
 
-  /// Arena-path forward: executes against \p Ws (configured on entry) and
-  /// writes into \p Result, both reused across calls. After one warm-up
-  /// call, repeated calls perform zero heap allocations for plan values.
+  /// Forward pass against \p Ws (configured on entry), writing into
+  /// \p Result; both are reused across calls. After one warm-up call,
+  /// repeated calls perform zero heap allocations for plan values.
   ///
   /// A non-None \p Policy runs the plan on a reordered copy of the graph:
   /// the workspace caches the permutation and relabeled adjacency per
@@ -346,23 +321,24 @@ public:
   ///
   /// An active \p Sharding partitions the bound adjacency into
   /// Sharding.Shards parts (cached per (count, graph); building or mapping
-  /// the blocks is charged as setup) and runs every sparse aggregation that
-  /// matches the bound adjacency's pattern through the sharded gather →
-  /// compute pipeline. The shard blocks preserve each row's original CSR
-  /// entry order, so sharded outputs are bitwise identical to the
-  /// whole-graph run at any shard and thread count within one ISA level.
-  /// Sharding requires the CSR forward format (it aborts with any other).
+  /// the blocks is charged as setup) and runs every sparse aggregation
+  /// through the sharded gather → compute pipeline. The shard blocks
+  /// preserve each row's original CSR entry order, so sharded outputs are
+  /// bitwise identical to the whole-graph run at any shard and thread count
+  /// within one ISA level. Sharding requires the CSR forward format (it
+  /// aborts with any other).
   void run(const CompositionPlan &Plan, const LayerInputs &Inputs,
            const GraphStats &Stats, PlanWorkspace &Ws, ExecResult &Result,
            ReorderPolicy Policy = ReorderPolicy::None,
            SparseFormat Format = SparseFormat::Csr,
            const ShardSpec &Sharding = ShardSpec()) const;
 
-  /// Arena-path forward + backward. The forward activations live in \p Ws
-  /// (fully pinned in training mode); gradient accumulators and exported
-  /// gradients still allocate per call. Under a non-None \p Policy the
-  /// feature gradient is scattered back alongside the output; weight and
-  /// attention gradients are row-order invariant and need no correction.
+  /// Forward + backward against \p Ws. The forward activations live in
+  /// \p Ws (fully pinned in training mode); gradient accumulators and
+  /// exported gradients still allocate per call. Under a non-None \p Policy
+  /// the feature gradient is scattered back alongside the output; weight
+  /// and attention gradients are row-order invariant and need no
+  /// correction.
   void runTraining(const CompositionPlan &Plan, const LayerInputs &Inputs,
                    const GraphStats &Stats, PlanWorkspace &Ws,
                    ExecResult &Result,
@@ -370,44 +346,20 @@ public:
                    SparseFormat Format = SparseFormat::Csr,
                    const ShardSpec &Sharding = ShardSpec()) const;
 
-  /// Measures/estimates one primitive invocation: executes \p Body and
-  /// returns the seconds to charge for it on this platform. On measured
-  /// platforms, an \p Idempotent body is executed once as a warm-up and
-  /// timed on the second run: plan timings stand for one iteration of an
-  /// amortized loop (paper: 100 iterations), which runs warm. Bodies that
-  /// accumulate (the backward pass) must pass Idempotent = false. The body
-  /// reference is non-owning and invoked synchronously, never stored.
+  /// Executes \p Body once and returns the seconds to charge for it on
+  /// this platform: its wall-clock time on measured platforms, the analytic
+  /// estimate of \p Desc on simulated ones. The body reference is
+  /// non-owning and invoked synchronously, never stored.
   double timeKernel(const PrimitiveDesc &Desc, const GraphStats &Stats,
-                    FunctionRef<void()> Body, bool Idempotent = false) const;
+                    FunctionRef<void()> Body) const;
 
 private:
-  /// Rebuilds \p RS for (Policy, Adj) if it is stale; returns the setup
-  /// seconds to charge (0 when the cache was already valid).
-  double reorderSetup(detail::ReorderState &RS, const CsrMatrix &Adj,
-                      const GraphStats &Stats, ReorderPolicy Policy) const;
-
-  /// Rebuilds \p FS's forward structure for (Format, Adj) if it is stale;
-  /// returns the setup seconds to charge (0 when already valid).
-  double formatSetup(detail::FormatState &FS, const CsrMatrix &Adj,
-                     const GraphStats &Stats, SparseFormat Format) const;
-
-  /// Rebuilds (or maps from \p Spec's store) \p SS's partition and blocks
-  /// for (Spec.Shards, Adj) if they are stale; returns the setup seconds to
-  /// charge (0 when already valid).
-  double shardSetup(detail::ShardState &SS, const CsrMatrix &Adj,
-                    const GraphStats &Stats, const ShardSpec &Spec) const;
-
-  /// Gathers the caller's features into permuted order and returns inputs
-  /// rebound to the cached reordered graph; \p PermSeconds receives the
-  /// per-iteration gather cost.
-  LayerInputs permuteInputs(detail::ReorderState &RS,
-                            const LayerInputs &Inputs, PlanWorkspace &Ws,
-                            double &PermSeconds) const;
-
-  /// Scatters \p M (rows in permuted order) back to the caller's vertex
-  /// order through \p Staging and returns the seconds charged.
-  double unpermuteRows(detail::ReorderState &RS, DenseMatrix &M,
-                       DenseMatrix &Staging, PlanWorkspace &Ws) const;
+  /// The body of both arena entry points: reorder / format / shard set-up,
+  /// the forward pass and, when \p Training, the backward pass.
+  void execute(const CompositionPlan &Plan, const LayerInputs &Inputs,
+               const GraphStats &Stats, PlanWorkspace &Ws, ExecResult &Result,
+               ReorderPolicy Policy, SparseFormat Format,
+               const ShardSpec &Sharding, bool Training) const;
 
   HardwareModel Hw;
   bool StepProfiling = false;

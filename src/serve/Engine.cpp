@@ -8,7 +8,6 @@
 #include "ir/Dsl.h"
 #include "kernels/Dispatch.h"
 #include "shard/Shard.h"
-#include "support/Diag.h"
 #include "support/Error.h"
 #include "support/Hash.h"
 #include "support/ThreadPool.h"
@@ -133,45 +132,34 @@ RunResponse Session::run(bool WantOutput) {
   const CompositionPlan &Plan = Opt->promoted()[Sel.PlanIndex];
   LayerInputs Inputs = Params.inputs();
   if (Options.Verify == VerifyLevel::Full && !ScheduleVerified) {
-    // Full: the same schedule cross-checks Optimizer::execute runs — the
-    // buffer plan against recomputed live intervals and the CSR row
-    // partition against exclusive-coverage rules. The schedule is a
-    // function of the (plan, binding, mode) triple, which is fixed for the
-    // session's lifetime, so one check covers every subsequent run.
-    DimBinding Binding = Inputs.binding(&Plan);
-    DiagEngine Diags;
-    BufferPlan Buffers(Plan, Binding, Training);
-    verifyBufferPlan(Plan, Binding, Buffers, Diags);
-    const AlignedVector<int64_t> &RowOffsets = Params.AdjSelf.rowOffsets();
-    int64_t Chunks = static_cast<int64_t>(ThreadPool::get().numThreads()) * 4;
-    verifyRowPartition(RowOffsets, csrRowPartitionBounds(RowOffsets, Chunks),
-                       Diags);
-    if (Diags.hasErrors())
-      GRANII_FATAL("execution schedule verification failed:\n" +
-                   Diags.render());
+    // The schedule is a function of the (plan, binding, mode) triple, which
+    // is fixed for the session's lifetime, so one check covers every
+    // subsequent run.
+    verifyExecutionSchedule(Plan, Inputs.binding(&Plan), Training,
+                            Params.AdjSelf.rowOffsets());
     ScheduleVerified = true;
   }
 
   // Measure this run's allocations, not the lifetime total: the first run
   // builds the arena (nonzero), every later run must report zero.
   Ws.resetAllocationCount();
-  ExecResult R;
   ShardSpec Sharding{Options.Shards, Options.ShardStoreDir};
   if (Training)
-    Exec->runTraining(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder,
-                      Sel.Format, Sharding);
+    Exec->runTraining(Plan, Inputs, Params.Stats, Ws, Result,
+                      Options.Reorder, Sel.Format, Sharding);
   else
-    Exec->run(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder, Sel.Format,
-              Sharding);
+    Exec->run(Plan, Inputs, Params.Stats, Ws, Result, Options.Reorder,
+              Sel.Format, Sharding);
   ++Runs;
 
-  Resp.Rows = R.Output.rows();
-  Resp.Cols = R.Output.cols();
+  Resp.Rows = Result.Output.rows();
+  Resp.Cols = Result.Output.cols();
   if (WantOutput)
-    Resp.Output.assign(R.Output.data(), R.Output.data() + R.Output.size());
-  Resp.SetupSeconds = R.SetupSeconds;
-  Resp.ForwardSeconds = R.ForwardSeconds;
-  Resp.BackwardSeconds = R.BackwardSeconds;
+    Resp.Output.assign(Result.Output.data(),
+                       Result.Output.data() + Result.Output.size());
+  Resp.SetupSeconds = Result.SetupSeconds;
+  Resp.ForwardSeconds = Result.ForwardSeconds;
+  Resp.BackwardSeconds = Result.BackwardSeconds;
   Resp.PlanIndex = Sel.PlanIndex;
   Resp.UsedCostModels = Sel.UsedCostModels;
   Resp.PlanCacheHit = PlanCacheHit;

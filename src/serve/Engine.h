@@ -121,6 +121,9 @@ private:
   /// RunMutex is their synchronization.
   std::optional<Executor> Exec GRANII_GUARDED_BY(RunMutex);
   PlanWorkspace Ws GRANII_GUARDED_BY(RunMutex);
+  /// Reused by every run so a warm run copies its output into storage that
+  /// already fits instead of allocating it afresh.
+  ExecResult Result GRANII_GUARDED_BY(RunMutex);
   bool ScheduleVerified GRANII_GUARDED_BY(RunMutex) = false;
   uint64_t Runs GRANII_GUARDED_BY(RunMutex) = 0;
 };

@@ -2,6 +2,9 @@
 
 #include "verify/VerifyBuffers.h"
 
+#include "support/Error.h"
+#include "support/ThreadPool.h"
+
 #include <algorithm>
 
 using namespace granii;
@@ -236,4 +239,16 @@ bool granii::verifyRowPartition(std::span<const int64_t> RowOffsets,
                       " to " + std::to_string(Bounds[I + 1]),
                   "overlapping chunks race on the shared output rows");
   return Diags.errorCount() == Before;
+}
+
+void granii::verifyExecutionSchedule(const CompositionPlan &Plan,
+                                     const DimBinding &Binding, bool Training,
+                                     std::span<const int64_t> RowOffsets) {
+  DiagEngine Diags;
+  verifyBufferPlan(Plan, Binding, BufferPlan(Plan, Binding, Training), Diags);
+  int64_t Chunks = static_cast<int64_t>(ThreadPool::get().numThreads()) * 4;
+  verifyRowPartition(RowOffsets, csrRowPartitionBounds(RowOffsets, Chunks),
+                     Diags);
+  if (Diags.hasErrors())
+    GRANII_FATAL("execution schedule verification failed:\n" + Diags.render());
 }

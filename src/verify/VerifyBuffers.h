@@ -54,6 +54,16 @@ bool verifyRowPartition(std::span<const int64_t> RowOffsets,
                         const std::vector<int64_t> &Bounds, DiagEngine &Diags,
                         const std::string &Stage = "partition");
 
+/// The `--verify=full` check of one execution's schedule: the buffer plan
+/// a workspace executes for (\p Plan, \p Binding, \p Training), verified
+/// against recomputed live intervals, and the CSR row partition the
+/// parallel kernels use over \p RowOffsets at the pool's thread count,
+/// verified for exclusive coverage. Aborts (GRANII_FATAL) with the rendered
+/// diagnostics on any error.
+void verifyExecutionSchedule(const CompositionPlan &Plan,
+                             const DimBinding &Binding, bool Training,
+                             std::span<const int64_t> RowOffsets);
+
 } // namespace granii
 
 #endif // GRANII_VERIFY_VERIFYBUFFERS_H

@@ -1,9 +1,10 @@
 //===- BufferPlanTests.cpp - Buffer lifetime planning and arena execution ---===//
 //
 // Hand-computed lifetime/slot/byte fixtures for BufferPlan, plus the
-// executor-level properties the planning exists for: arena outputs bitwise
-// identical to the legacy per-call path at every thread count, and zero
-// workspace allocations in the steady state.
+// executor-level properties the planning exists for: a reused workspace's
+// outputs bitwise identical to a by-value run (its own temporary
+// workspace) at every thread count, and zero workspace allocations in the
+// steady state.
 //
 //===----------------------------------------------------------------------===//
 
@@ -245,7 +246,7 @@ const Graph &skewedGraph() {
 
 } // namespace
 
-TEST(PlanWorkspaceExec, ArenaMatchesLegacyBitwise) {
+TEST(PlanWorkspaceExec, ReusedWorkspaceMatchesByValueRunBitwise) {
   GnnModel M = makeModel(ModelKind::GCN);
   LayerParams Params = makeLayerParams(M, skewedGraph(), 16, 8, 5);
   Executor Exec(HardwareModel::byName("cpu"));
@@ -255,41 +256,42 @@ TEST(PlanWorkspaceExec, ArenaMatchesLegacyBitwise) {
   for (int Threads : {1, 4}) {
     ThreadPool::get().setNumThreads(Threads);
     for (size_t I = 0; I < Plans.size(); ++I) {
-      DenseMatrix Legacy =
+      DenseMatrix ByValue =
           Exec.run(Plans[I], Params.inputs(), Params.Stats).Output;
       PlanWorkspace Ws;
       ExecResult R;
       Exec.run(Plans[I], Params.inputs(), Params.Stats, Ws, R);
-      ASSERT_EQ(R.Output.rows(), Legacy.rows());
-      EXPECT_EQ(R.Output.maxAbsDiff(Legacy), 0.0f)
+      ASSERT_EQ(R.Output.rows(), ByValue.rows());
+      EXPECT_EQ(R.Output.maxAbsDiff(ByValue), 0.0f)
           << "plan " << I << " at " << Threads << " threads";
       // And again from the warm workspace: reuse must not perturb results.
       Exec.run(Plans[I], Params.inputs(), Params.Stats, Ws, R);
-      EXPECT_EQ(R.Output.maxAbsDiff(Legacy), 0.0f)
+      EXPECT_EQ(R.Output.maxAbsDiff(ByValue), 0.0f)
           << "plan " << I << " rerun at " << Threads << " threads";
     }
   }
   ThreadPool::get().setNumThreads(0);
 }
 
-TEST(PlanWorkspaceExec, TrainingArenaMatchesLegacy) {
+TEST(PlanWorkspaceExec, TrainingReusedWorkspaceMatchesByValueRun) {
   GnnModel M = makeModel(ModelKind::GCN);
   LayerParams Params = makeLayerParams(M, skewedGraph(), 12, 6, 7);
   Executor Exec(HardwareModel::byName("cpu"));
   auto Plans = enumerateCompositions(M.Root);
   ASSERT_FALSE(Plans.empty());
 
-  ExecResult Legacy = Exec.runTraining(Plans[0], Params.inputs(), Params.Stats);
+  ExecResult ByValue =
+      Exec.runTraining(Plans[0], Params.inputs(), Params.Stats);
   PlanWorkspace Ws;
   ExecResult R;
   Exec.runTraining(Plans[0], Params.inputs(), Params.Stats, Ws, R);
-  EXPECT_EQ(R.Output.maxAbsDiff(Legacy.Output), 0.0f);
-  ASSERT_EQ(R.WeightGrads.size(), Legacy.WeightGrads.size());
-  for (const auto &[Name, Grad] : Legacy.WeightGrads) {
+  EXPECT_EQ(R.Output.maxAbsDiff(ByValue.Output), 0.0f);
+  ASSERT_EQ(R.WeightGrads.size(), ByValue.WeightGrads.size());
+  for (const auto &[Name, Grad] : ByValue.WeightGrads) {
     ASSERT_TRUE(R.WeightGrads.count(Name));
     EXPECT_EQ(R.WeightGrads.at(Name).maxAbsDiff(Grad), 0.0f) << Name;
   }
-  EXPECT_EQ(R.FeatureGrad.maxAbsDiff(Legacy.FeatureGrad), 0.0f);
+  EXPECT_EQ(R.FeatureGrad.maxAbsDiff(ByValue.FeatureGrad), 0.0f);
 }
 
 TEST(PlanWorkspaceExec, SteadyStatePerformsZeroAllocations) {

@@ -2,13 +2,14 @@
 //
 // Seeded property-based testing of the whole execution stack: random graphs
 // and embedding sizes drive every surviving plan candidate of GCN / GAT /
-// SAGE through the legacy, arena, and reordered execution paths at 1 and 4
+// SAGE through by-value, reused-workspace, and reordered runs at 1 and 4
 // threads, comparing everything against a from-scratch double-precision
 // reference implementation written with plain loops (no kernel-library
 // code on the reference side).
 //
 // Comparison contract (see Executor.h):
-//  - legacy vs arena, and 1 thread vs 4 threads: bitwise identical
+//  - by-value vs reused workspace, and 1 thread vs 4 threads: bitwise
+//    identical
 //    (row-parallelism never splits one row's accumulation),
 //  - reordered vs unreordered: <= 1e-5 relative after the executor's
 //    inverse row permutation (relabeling reorders each row's neighbor
@@ -244,7 +245,8 @@ std::vector<CompositionPlan> survivingPlans(const GnnModel &M) {
 
 //===----------------------------------------------------------------------===//
 // Main differential property: >= 20 random instances, every surviving plan,
-// {legacy, arena, reordered} x {1, 4 threads}, vs the naive reference.
+// {by-value, reused workspace, reordered} x {1, 4 threads}, vs the naive
+// reference.
 //===----------------------------------------------------------------------===//
 
 TEST(Differential, AllPathsAgreeOnRandomInstances) {
@@ -269,20 +271,19 @@ TEST(Differential, AllPathsAgreeOnRandomInstances) {
 
       // --- 1 thread ---------------------------------------------------
       Executor E1(HardwareModel::byName("cpu"), /*NumThreads=*/1);
-      DenseMatrix Legacy1 =
-          E1.run(Plan, Params.inputs(), Params.Stats).Output;
+      DenseMatrix ByValue1 = E1.run(Plan, Params.inputs(), Params.Stats).Output;
 
       // Semantics: every surviving candidate computes the model.
-      EXPECT_TRUE(Legacy1.approxEquals(Naive, 3e-3f, 3e-3f))
-          << "diverges from naive reference by " << Legacy1.maxAbsDiff(Naive);
+      EXPECT_TRUE(ByValue1.approxEquals(Naive, 3e-3f, 3e-3f))
+          << "diverges from naive reference by " << ByValue1.maxAbsDiff(Naive);
 
-      // Arena path is bitwise identical to the legacy path.
+      // A reused workspace is bitwise identical to a by-value run.
       PlanWorkspace Ws;
       Ws.configure(Plan, Binding, /*Training=*/false);
       ExecResult Arena1;
       E1.run(Plan, Params.inputs(), Params.Stats, Ws, Arena1);
-      EXPECT_EQ(Arena1.Output.maxAbsDiff(Legacy1), 0.0f)
-          << "arena output differs from legacy";
+      EXPECT_EQ(Arena1.Output.maxAbsDiff(ByValue1), 0.0f)
+          << "reused-workspace output differs from the by-value run";
 
       // Reordered execution matches within 1e-5 relative after the inverse
       // permutation (summation order differs, bitwise cannot hold).
@@ -290,23 +291,22 @@ TEST(Differential, AllPathsAgreeOnRandomInstances) {
       WsR.configure(Plan, Binding, /*Training=*/false);
       ExecResult Reord1;
       E1.run(Plan, Params.inputs(), Params.Stats, WsR, Reord1, Policy);
-      EXPECT_EQ(Reord1.Output.rows(), Legacy1.rows());
-      EXPECT_TRUE(Reord1.Output.approxEquals(Legacy1, 1e-5f, 1e-5f))
+      EXPECT_EQ(Reord1.Output.rows(), ByValue1.rows());
+      EXPECT_TRUE(Reord1.Output.approxEquals(ByValue1, 1e-5f, 1e-5f))
           << reorderPolicyName(Policy) << " output differs by "
-          << Reord1.Output.maxAbsDiff(Legacy1);
+          << Reord1.Output.maxAbsDiff(ByValue1);
 
       // --- 4 threads --------------------------------------------------
       Executor E4(HardwareModel::byName("cpu"), /*NumThreads=*/4);
-      DenseMatrix Legacy4 =
-          E4.run(Plan, Params.inputs(), Params.Stats).Output;
+      DenseMatrix ByValue4 = E4.run(Plan, Params.inputs(), Params.Stats).Output;
       // Row-parallel kernels never split one row's reduction, so thread
       // count must not change a single bit.
-      EXPECT_EQ(Legacy4.maxAbsDiff(Legacy1), 0.0f)
+      EXPECT_EQ(ByValue4.maxAbsDiff(ByValue1), 0.0f)
           << "thread count changed the output";
 
       ExecResult Arena4, Reord4;
       E4.run(Plan, Params.inputs(), Params.Stats, Ws, Arena4);
-      EXPECT_EQ(Arena4.Output.maxAbsDiff(Legacy1), 0.0f);
+      EXPECT_EQ(Arena4.Output.maxAbsDiff(ByValue1), 0.0f);
       E4.run(Plan, Params.inputs(), Params.Stats, WsR, Reord4, Policy);
       EXPECT_EQ(Reord4.Output.maxAbsDiff(Reord1.Output), 0.0f)
           << "reordered path not thread-deterministic";

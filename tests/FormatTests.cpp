@@ -1,9 +1,10 @@
 //===- FormatTests.cpp - Multi-format storage conversion tests --------------===//
 //
 // Converter round-trip properties (CSR -> {ELL, SELL, HYB, CSC} -> CSR is
-// exact), hybrid overflow-threshold edge cases, format-tag parsing, and
-// GRANII_CHECK death tests on malformed inputs. The cross-format numeric
-// agreement of the kernels themselves lives in DifferentialTests.
+// exact; ELL is the single-slice SELL), hybrid overflow-threshold edge
+// cases, format-tag parsing, and GRANII_CHECK death tests on malformed
+// inputs. The cross-format numeric agreement of the kernels themselves
+// lives in DifferentialTests.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,7 +12,6 @@
 #include "support/Rng.h"
 #include "tensor/CooMatrix.h"
 #include "tensor/CscMatrix.h"
-#include "tensor/EllMatrix.h"
 #include "tensor/HybMatrix.h"
 #include "tensor/SellMatrix.h"
 #include "tensor/SparseFormat.h"
@@ -75,7 +75,7 @@ std::vector<Fixture> makeFixtures() {
     Out.push_back({"skewed-hub", Coo.toCsr(/*Unweighted=*/false)});
   }
   {
-    Rng R(321); // > SliceHeight rows so SELL gets several slices
+    Rng R(321); // > DefaultSliceHeight rows so SELL gets several slices
     CooMatrix Coo(100, 100);
     for (int64_t I = 0; I < 700; ++I)
       Coo.add(static_cast<int64_t>(R.nextBelow(100)),
@@ -123,8 +123,9 @@ TEST(SparseFormatTest, ForwardFormatsAreTheExecutableOnes) {
 TEST(FormatRoundTrip, EllIsExact) {
   for (const Fixture &F : makeFixtures()) {
     SCOPED_TRACE(F.Name);
-    EllMatrix E = EllMatrix::fromCsr(F.A);
+    SellMatrix E = SellMatrix::fromCsr(F.A, F.A.rows()); // one slice
     E.verify();
+    EXPECT_LE(E.numSlices(), 1);
     EXPECT_EQ(E.nnz(), F.A.nnz());
     expectCsrEqual(E.toCsr(F.A.values()), F.A);
   }
@@ -169,7 +170,7 @@ TEST(FormatRoundTrip, UnweightedStaysUnweighted) {
             static_cast<int64_t>(R.nextBelow(10)));
   CsrMatrix A = Coo.toCsr(); // structural: values() is empty
   ASSERT_TRUE(A.values().empty());
-  expectCsrEqual(EllMatrix::fromCsr(A).toCsr(), A);
+  expectCsrEqual(SellMatrix::fromCsr(A, A.rows()).toCsr(), A);
   expectCsrEqual(SellMatrix::fromCsr(A).toCsr(), A);
   expectCsrEqual(HybMatrix::fromCsr(A).toCsr(), A);
   expectCsrEqual(CscMatrix::fromCsr(A).toCsr(), A);
@@ -186,11 +187,12 @@ TEST(FormatStructure, EllWidthIsMaxRowLength) {
   Coo.add(1, 2);
   Coo.add(1, 5); // row 1 is longest: 3 entries
   CsrMatrix A = Coo.toCsr();
-  EllMatrix E = EllMatrix::fromCsr(A);
-  EXPECT_EQ(E.width(), 3);
+  SellMatrix E = SellMatrix::fromCsr(A, A.rows()); // ELL: one slice
+  ASSERT_EQ(E.numSlices(), 1);
+  EXPECT_EQ(E.sliceWidth(0), 3);
   EXPECT_EQ(static_cast<int64_t>(E.colIndices().size()), 4 * 3);
   // Row 3 is empty: all padding.
-  for (int64_t K = 0; K < E.width(); ++K)
+  for (int64_t K = 0; K < E.sliceWidth(0); ++K)
     EXPECT_EQ(E.rowColsPtr(3)[K], -1);
 }
 
@@ -307,8 +309,8 @@ TEST(HybThreshold, EveryWidthRoundTrips) {
 TEST(FormatDeathTest, ToCsrRejectsWrongValueCount) {
   CsrMatrix A = skewedFixture();
   std::vector<float> Short(static_cast<size_t>(A.nnz() - 1), 1.0f);
-  EXPECT_DEATH(EllMatrix::fromCsr(A).toCsr(Short),
-               "ell->csr value count mismatch");
+  EXPECT_DEATH(SellMatrix::fromCsr(A, A.rows()).toCsr(Short),
+               "sell->csr value count mismatch");
   EXPECT_DEATH(SellMatrix::fromCsr(A).toCsr(Short),
                "sell->csr value count mismatch");
   EXPECT_DEATH(HybMatrix::fromCsr(A).toCsr(Short),
@@ -326,9 +328,6 @@ TEST(FormatDeathTest, KernelsRejectShapeMismatches) {
   CsrMatrix A = skewedFixture(); // 10 x 10
   DenseMatrix B(9, 4);           // wrong inner dimension
   DenseMatrix Dst(10, 4);
-  EXPECT_DEATH(kernels::spmmEllInto(EllMatrix::fromCsr(A), A.values(), B,
-                                    Semiring::plusTimes(), Dst),
-               "spmm_ell dimension mismatch");
   EXPECT_DEATH(kernels::spmmSellInto(SellMatrix::fromCsr(A), A.values(), B,
                                      Semiring::plusTimes(), Dst),
                "spmm_sell dimension mismatch");
@@ -341,7 +340,7 @@ TEST(FormatDeathTest, SddmmRejectsWrongOutputLength) {
   CsrMatrix A = skewedFixture();
   DenseMatrix U(10, 3), V(10, 3);
   std::vector<float> Out(static_cast<size_t>(A.nnz() + 1));
-  EXPECT_DEATH(kernels::sddmmEllInto(EllMatrix::fromCsr(A), U, V,
-                                     Semiring::plusTimes(), Out),
-               "sddmm_ell destination length mismatch");
+  EXPECT_DEATH(kernels::sddmmSellInto(SellMatrix::fromCsr(A), U, V,
+                                      Semiring::plusTimes(), Out),
+               "sddmm_sell destination length mismatch");
 }

@@ -18,13 +18,50 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <thread>
 #include <unistd.h>
 #include <vector>
 
 using namespace granii;
 using namespace granii::serve;
+
+namespace {
+
+// Byte-counting replacements of the global allocation functions (below),
+// armed only while CountingNew is set: they bound everything a call
+// allocates, not just the growth the workspace counter sees.
+std::atomic<bool> CountingNew{false};
+std::atomic<size_t> CountedNewBytes{0};
+
+void *allocateCounted(size_t Size, size_t Align) {
+  if (CountingNew.load(std::memory_order_relaxed))
+    CountedNewBytes.fetch_add(Size, std::memory_order_relaxed);
+  // aligned_alloc takes a nonzero multiple of the alignment.
+  size_t Rounded = Size == 0 ? Align : (Size + Align - 1) / Align * Align;
+  void *P = std::aligned_alloc(Align, Rounded);
+  if (!P)
+    throw std::bad_alloc();
+  return P;
+}
+
+} // namespace
+
+void *operator new(size_t Size) {
+  return allocateCounted(Size, __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+}
+void *operator new(size_t Size, std::align_val_t Align) {
+  return allocateCounted(Size, static_cast<size_t>(Align));
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete(void *P, size_t) noexcept { std::free(P); }
+void operator delete(void *P, std::align_val_t) noexcept { std::free(P); }
+void operator delete(void *P, size_t, std::align_val_t) noexcept {
+  std::free(P);
+}
 
 namespace {
 
@@ -371,6 +408,29 @@ TEST(Engine, WarmRunsAreBitwiseIdenticalAndAllocationFree) {
   EXPECT_EQ(S.SessionMisses, 1u);
   EXPECT_EQ(S.SessionHits, 3u);
   EXPECT_EQ(S.SessionsLive, 1u);
+}
+
+// A warm run reuses the session's result storage: copying the output out
+// of the arena must not allocate a fresh output matrix per request.
+TEST(Engine, WarmRunAllocatesLessThanItsOutput) {
+  Engine Eng(testEngineOptions());
+  JobRequest Req = smallRequest(/*WantOutput=*/false);
+  Req.GraphSpec = "synth:rmat:4096:32768:3";
+  Req.KIn = Req.KOut = 16;
+  std::string Err;
+  std::shared_ptr<Session> S = Eng.session(Req, Err);
+  ASSERT_TRUE(S) << Err;
+  ASSERT_TRUE(S->run(/*WantOutput=*/false).Status.Ok); // cold
+
+  CountedNewBytes = 0;
+  CountingNew = true;
+  RunResponse Warm = S->run(/*WantOutput=*/false);
+  CountingNew = false;
+  ASSERT_TRUE(Warm.Status.Ok) << Warm.Status.Error;
+  EXPECT_EQ(Warm.SteadyAllocations, 0u);
+  EXPECT_LT(CountedNewBytes.load(),
+            static_cast<size_t>(Warm.Rows * Warm.Cols) * sizeof(float))
+      << "warm run allocated " << CountedNewBytes.load() << " bytes";
 }
 
 TEST(Engine, CompileVerbPopulatesPlanCacheForLaterRuns) {
