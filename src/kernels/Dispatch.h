@@ -59,10 +59,9 @@ struct SimdOps {
   IsaLevel Level = IsaLevel::Scalar;
   const char *Name = "scalar";
 
-  /// Feature-dimension group size of the sddmm dot-product reduction. Tiled
-  /// SDDMM is bitwise-identical to untiled only when the tile width is a
-  /// multiple of this quantum (HardwareModel::spmmColumnTile already rounds
-  /// to it); 1 for the scalar table.
+  /// Feature-dimension group size of the sddmm dot-product reduction (the
+  /// fold order that fixes its result bits at this level); 1 for the scalar
+  /// table.
   int64_t ColumnQuantum = 1;
 
   /// Measured throughput of this level relative to the scalar path on the
@@ -73,12 +72,11 @@ struct SimdOps {
   double DenseThroughputScale = 1.0;
   double SparseThroughputScale = 1.0;
 
-  /// C rows [RowBegin, RowEnd) of C = A * B (+= when \p Accumulate), all
-  /// matrices row-major with the given leading dimensions.
+  /// C rows [RowBegin, RowEnd) of C = A * B, all matrices row-major with
+  /// the given leading dimensions.
   void (*GemmRowRange)(const float *A, int64_t Lda, const float *B,
                        int64_t Ldb, float *C, int64_t Ldc, int64_t K,
-                       int64_t N, int64_t RowBegin, int64_t RowEnd,
-                       bool Accumulate) = nullptr;
+                       int64_t N, int64_t RowBegin, int64_t RowEnd) = nullptr;
 
   /// C rows [RowBegin, RowEnd) of C = A^T * B; C has A.cols() rows and \p M
   /// is A.rows() (the contraction length).
@@ -103,14 +101,12 @@ struct SimdOps {
                        SpmmCombine Combine, bool Mean, int64_t RowBegin,
                        int64_t RowEnd) = nullptr;
 
-  /// Plus-times SDDMM (per-edge dot product) over CSR rows
-  /// [RowBegin, RowEnd) for the feature tile [J0, J1); when \p FirstTile is
-  /// false the edge's partial in Out[K] is carried forward.
+  /// Plus-times SDDMM (per-edge dot product over the first \p Width
+  /// features) over CSR rows [RowBegin, RowEnd).
   void (*SddmmDotRowRange)(const int64_t *Offsets, const int32_t *Cols,
                            const float *U, int64_t Ldu, const float *V,
-                           int64_t Ldv, float *Out, int64_t J0, int64_t J1,
-                           bool FirstTile, int64_t RowBegin,
-                           int64_t RowEnd) = nullptr;
+                           int64_t Ldv, float *Out, int64_t Width,
+                           int64_t RowBegin, int64_t RowEnd) = nullptr;
 
   // Elementwise map family over flat ranges of \p N contiguous floats.
   void (*ScaleRange)(float Alpha, const float *X, float *Out,

@@ -266,7 +266,7 @@ void kernels::sddmmSellInto(const SellMatrix &Mask, const DenseMatrix &U,
         const int64_t LocalOffsets[2] = {0, Mask.rowNnz(R)};
         Ops.SddmmDotRowRange(LocalOffsets, Mask.rowColsPtr(R), U.rowPtr(R),
                              Width, V.data(), Width, Out.data() + Offsets[R],
-                             0, Width, /*FirstTile=*/true, 0, 1);
+                             Width, 0, 1);
       }
     });
     return;
@@ -307,14 +307,14 @@ void kernels::sddmmHybInto(const HybMatrix &Mask, const DenseMatrix &U,
         const int64_t EllOffsets[2] = {0, EllLen};
         Ops.SddmmDotRowRange(EllOffsets, Mask.ellRowColsPtr(R), U.rowPtr(R),
                              Width, V.data(), Width, Out.data() + Offsets[R],
-                             0, Width, /*FirstTile=*/true, 0, 1);
+                             Width, 0, 1);
         const int64_t CooLen = Len - EllLen;
         if (CooLen > 0) {
           const int64_t CooLocal[2] = {0, CooLen};
           Ops.SddmmDotRowRange(CooLocal, CooColIds.data() + CooOffsets[R],
                                U.rowPtr(R), Width, V.data(), Width,
-                               Out.data() + Offsets[R] + EllLen, 0, Width,
-                               /*FirstTile=*/true, 0, 1);
+                               Out.data() + Offsets[R] + EllLen, Width, 0,
+                               1);
         }
       }
     });

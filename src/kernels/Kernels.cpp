@@ -7,11 +7,11 @@
 // the nnz-balanced partitioner (parallelForCsrRows) so skewed-degree graphs
 // do not serialize on their hub rows.
 //
-// Destination-passing contract: the `...Into` forms hold the real kernel
-// bodies, never allocate, and fully overwrite every destination element
-// (rows that accumulate are zeroed inside the same parallel region first,
-// preserving bitwise identity with the historical zero-initialized-alloc
-// formulation). The by-value forms allocate a zeroed result and forward.
+// Destination-passing contract: every kernel writes into a caller-provided
+// destination, never allocates, and fully overwrites every destination
+// element (rows that accumulate are zeroed inside the same parallel region
+// first, so a reused buffer yields the same bits as a fresh zero-filled
+// one).
 //
 // ISA dispatch: the hot row routines (packed GEMM family, fused sum g-SpMM,
 // plus-times SDDMM, and the elementwise map family) are fetched once per
@@ -98,30 +98,10 @@ void kernels::gemmInto(const DenseMatrix &A, const DenseMatrix &B,
   const SimdOps &Ops = simdOps();
   parallelFor(0, M, rowGrain(K * N), [&](int64_t RowBegin, int64_t RowEnd) {
     Ops.GemmRowRange(A.data(), K, B.data(), N, Dst.data(), N, K, N, RowBegin,
-                     RowEnd, /*Accumulate=*/false);
+                     RowEnd);
   });
 }
 // granii-noalloc-end
-
-DenseMatrix kernels::gemm(const DenseMatrix &A, const DenseMatrix &B) {
-  GRANII_CHECK(A.cols() == B.rows(), "gemm inner dimension mismatch");
-  DenseMatrix C(A.rows(), B.cols());
-  gemmInto(A, B, C);
-  return C;
-}
-
-void kernels::gemmAccumulate(const DenseMatrix &A, const DenseMatrix &B,
-                             DenseMatrix &C) {
-  GRANII_CHECK(A.cols() == B.rows(), "gemm inner dimension mismatch");
-  GRANII_CHECK(C.rows() == A.rows() && C.cols() == B.cols(),
-               "gemm output shape mismatch");
-  const int64_t M = A.rows(), K = A.cols(), N = B.cols();
-  const SimdOps &Ops = simdOps();
-  parallelFor(0, M, rowGrain(K * N), [&](int64_t RowBegin, int64_t RowEnd) {
-    Ops.GemmRowRange(A.data(), K, B.data(), N, C.data(), N, K, N, RowBegin,
-                     RowEnd, /*Accumulate=*/true);
-  });
-}
 
 void kernels::gemmTransposedLhsInto(const DenseMatrix &A, const DenseMatrix &B,
                                     DenseMatrix &Dst) {
@@ -140,14 +120,6 @@ void kernels::gemmTransposedLhsInto(const DenseMatrix &A, const DenseMatrix &B,
               });
 }
 
-DenseMatrix kernels::gemmTransposedLhs(const DenseMatrix &A,
-                                       const DenseMatrix &B) {
-  GRANII_CHECK(A.rows() == B.rows(), "A^T*B dimension mismatch");
-  DenseMatrix C(A.cols(), B.cols());
-  gemmTransposedLhsInto(A, B, C);
-  return C;
-}
-
 void kernels::gemmTransposedRhsInto(const DenseMatrix &A, const DenseMatrix &B,
                                     DenseMatrix &Dst) {
   GRANII_CHECK(A.cols() == B.cols(), "A*B^T dimension mismatch");
@@ -159,14 +131,6 @@ void kernels::gemmTransposedRhsInto(const DenseMatrix &A, const DenseMatrix &B,
                 Ops.GemmTRhsRowRange(A.data(), K, B.data(), K, Dst.data(), N,
                                      K, N, RowBegin, RowEnd);
               });
-}
-
-DenseMatrix kernels::gemmTransposedRhs(const DenseMatrix &A,
-                                       const DenseMatrix &B) {
-  GRANII_CHECK(A.cols() == B.cols(), "A*B^T dimension mismatch");
-  DenseMatrix C(A.rows(), B.rows());
-  gemmTransposedRhsInto(A, B, C);
-  return C;
 }
 
 void kernels::gemvInto(const DenseMatrix &A, const std::vector<float> &X,
@@ -186,15 +150,6 @@ void kernels::gemvInto(const DenseMatrix &A, const std::vector<float> &X,
               });
 }
 
-std::vector<float> kernels::gemv(const DenseMatrix &A,
-                                 const std::vector<float> &X) {
-  GRANII_CHECK(static_cast<int64_t>(X.size()) == A.cols(),
-               "gemv dimension mismatch");
-  std::vector<float> Y(static_cast<size_t>(A.rows()), 0.0f);
-  gemvInto(A, X, Y);
-  return Y;
-}
-
 void kernels::rowBroadcastMulInto(const std::vector<float> &D,
                                   const DenseMatrix &H, DenseMatrix &Dst) {
   GRANII_CHECK(static_cast<int64_t>(D.size()) == H.rows(),
@@ -207,15 +162,6 @@ void kernels::rowBroadcastMulInto(const std::vector<float> &D,
                   Ops.ScaleRange(D[static_cast<size_t>(I)], H.rowPtr(I),
                                  Dst.rowPtr(I), H.cols());
               });
-}
-
-DenseMatrix kernels::rowBroadcastMul(const std::vector<float> &D,
-                                     const DenseMatrix &H) {
-  GRANII_CHECK(static_cast<int64_t>(D.size()) == H.rows(),
-               "row broadcast length mismatch");
-  DenseMatrix Out(H.rows(), H.cols());
-  rowBroadcastMulInto(D, H, Out);
-  return Out;
 }
 
 void kernels::colBroadcastMulInto(const DenseMatrix &H,
@@ -233,15 +179,6 @@ void kernels::colBroadcastMulInto(const DenseMatrix &H,
               });
 }
 
-DenseMatrix kernels::colBroadcastMul(const DenseMatrix &H,
-                                     const std::vector<float> &D) {
-  GRANII_CHECK(static_cast<int64_t>(D.size()) == H.cols(),
-               "column broadcast length mismatch");
-  DenseMatrix Out(H.rows(), H.cols());
-  colBroadcastMulInto(H, D, Out);
-  return Out;
-}
-
 void kernels::addMatricesInto(const DenseMatrix &A, const DenseMatrix &B,
                               DenseMatrix &Dst) {
   GRANII_CHECK(A.rows() == B.rows() && A.cols() == B.cols(),
@@ -254,14 +191,6 @@ void kernels::addMatricesInto(const DenseMatrix &A, const DenseMatrix &B,
   parallelFor(0, A.size(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
     Ops.AddRange(PA + Begin, PB + Begin, PO + Begin, End - Begin);
   });
-}
-
-DenseMatrix kernels::addMatrices(const DenseMatrix &A, const DenseMatrix &B) {
-  GRANII_CHECK(A.rows() == B.rows() && A.cols() == B.cols(),
-               "elementwise add shape mismatch");
-  DenseMatrix Out(A.rows(), A.cols());
-  addMatricesInto(A, B, Out);
-  return Out;
 }
 
 void kernels::axpyInto(float Alpha, const DenseMatrix &A, DenseMatrix &B) {
@@ -286,12 +215,6 @@ void kernels::scaleMatrixInto(const DenseMatrix &A, float Alpha,
   });
 }
 
-DenseMatrix kernels::scaleMatrix(const DenseMatrix &A, float Alpha) {
-  DenseMatrix Out(A.rows(), A.cols());
-  scaleMatrixInto(A, Alpha, Out);
-  return Out;
-}
-
 void kernels::reluInto(const DenseMatrix &A, DenseMatrix &Dst) {
   checkDenseDst(Dst, A.rows(), A.cols(), "relu");
   const float *PA = A.data();
@@ -300,23 +223,6 @@ void kernels::reluInto(const DenseMatrix &A, DenseMatrix &Dst) {
   parallelFor(0, A.size(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
     Ops.ReluRange(PA + Begin, PO + Begin, End - Begin);
   });
-}
-
-DenseMatrix kernels::relu(const DenseMatrix &A) {
-  DenseMatrix Out(A.rows(), A.cols());
-  reluInto(A, Out);
-  return Out;
-}
-
-DenseMatrix kernels::leakyRelu(const DenseMatrix &A, float NegativeSlope) {
-  DenseMatrix Out(A.rows(), A.cols());
-  const float *PA = A.data();
-  float *PO = Out.data();
-  parallelFor(0, A.size(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
-    for (int64_t I = Begin; I < End; ++I)
-      PO[I] = PA[I] > 0.0f ? PA[I] : NegativeSlope * PA[I];
-  });
-  return Out;
 }
 
 void kernels::reluBackwardInto(const DenseMatrix &Pre, const DenseMatrix &Grad,
@@ -331,15 +237,6 @@ void kernels::reluBackwardInto(const DenseMatrix &Pre, const DenseMatrix &Grad,
     for (int64_t I = Begin; I < End; ++I)
       PO[I] = PP[I] > 0.0f ? PG[I] : 0.0f;
   });
-}
-
-DenseMatrix kernels::reluBackward(const DenseMatrix &Pre,
-                                  const DenseMatrix &Grad) {
-  GRANII_CHECK(Pre.rows() == Grad.rows() && Pre.cols() == Grad.cols(),
-               "relu backward shape mismatch");
-  DenseMatrix Out(Pre.rows(), Pre.cols());
-  reluBackwardInto(Pre, Grad, Out);
-  return Out;
 }
 
 // granii-noalloc-begin: the SpMM aggregation loops dominate steady-state
@@ -430,14 +327,6 @@ void kernels::spmmTiledInto(const CsrMatrix &A, const DenseMatrix &B,
   });
 }
 
-DenseMatrix kernels::spmm(const CsrMatrix &A, const DenseMatrix &B,
-                          const Semiring &S) {
-  GRANII_CHECK(A.cols() == B.rows(), "spmm dimension mismatch");
-  DenseMatrix Out(A.rows(), B.cols());
-  spmmInto(A, B, S, Out);
-  return Out;
-}
-
 // granii-noalloc-begin: SDDMM scores every masked edge each layer; the dot
 // loops write straight into the caller's value span.
 void kernels::sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
@@ -454,8 +343,8 @@ void kernels::sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
     const SimdOps &Ops = simdOps();
     parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
       Ops.SddmmDotRowRange(Offsets.data(), Cols.data(), U.data(), Width,
-                           V.data(), Width, Out.data(), 0, Width,
-                           /*FirstTile=*/true, RowBegin, RowEnd);
+                           V.data(), Width, Out.data(), Width, RowBegin,
+                           RowEnd);
     });
     return;
   }
@@ -474,64 +363,6 @@ void kernels::sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
   });
 }
 // granii-noalloc-end
-
-void kernels::sddmmTiledInto(const CsrMatrix &Mask, const DenseMatrix &U,
-                             const DenseMatrix &V, const Semiring &S,
-                             int64_t TileCols, std::span<float> Out) {
-  const int64_t Width = U.cols();
-  if (TileCols <= 0 || TileCols >= Width) {
-    sddmmInto(Mask, U, V, S, Out);
-    return;
-  }
-  GRANII_CHECK(Mask.rows() == U.rows(), "sddmm left operand row mismatch");
-  GRANII_CHECK(Mask.cols() == V.rows(), "sddmm right operand row mismatch");
-  GRANII_CHECK(U.cols() == V.cols(), "sddmm feature width mismatch");
-  checkVecDst(Out, static_cast<size_t>(Mask.nnz()), "sddmm_tiled");
-  const auto &Offsets = Mask.rowOffsets();
-  const auto &Cols = Mask.colIndices();
-  // Tile loop outer: each edge's reduction runs left to right across tiles
-  // with Out[K] carrying the partial, so the feature-dimension reduction
-  // order — and therefore the result — matches sddmmInto bitwise. The SIMD
-  // tables fold features in fixed groups (SimdOps::ColumnQuantum), so for
-  // them this identity requires ColumnQuantum-aligned tile widths, which is
-  // what HardwareModel::spmmColumnTile produces.
-  if (isPlusTimes(S)) {
-    const SimdOps &Ops = simdOps();
-    parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-      for (int64_t J0 = 0; J0 < Width; J0 += TileCols) {
-        const int64_t J1 = std::min(J0 + TileCols, Width);
-        Ops.SddmmDotRowRange(Offsets.data(), Cols.data(), U.data(), Width,
-                             V.data(), Width, Out.data(), J0, J1,
-                             /*FirstTile=*/J0 == 0, RowBegin, RowEnd);
-      }
-    });
-    return;
-  }
-  parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-    for (int64_t J0 = 0; J0 < Width; J0 += TileCols) {
-      const int64_t J1 = std::min(J0 + TileCols, Width);
-      for (int64_t R = RowBegin; R < RowEnd; ++R) {
-        const float *URow = U.rowPtr(R);
-        for (int64_t K = Offsets[static_cast<size_t>(R)];
-             K < Offsets[static_cast<size_t>(R) + 1]; ++K) {
-          const float *VRow = V.rowPtr(Cols[static_cast<size_t>(K)]);
-          float Acc =
-              J0 == 0 ? S.reduceIdentity() : Out[static_cast<size_t>(K)];
-          for (int64_t J = J0; J < J1; ++J)
-            Acc = S.reduce(Acc, S.combine(URow[J], VRow[J]));
-          Out[static_cast<size_t>(K)] = Acc;
-        }
-      }
-    }
-  });
-}
-
-std::vector<float> kernels::sddmm(const CsrMatrix &Mask, const DenseMatrix &U,
-                                  const DenseMatrix &V, const Semiring &S) {
-  std::vector<float> Out(static_cast<size_t>(Mask.nnz()), 0.0f);
-  sddmmInto(Mask, U, V, S, Out);
-  return Out;
-}
 
 void kernels::sddmmAddScalarsInto(const CsrMatrix &Mask,
                                   const std::vector<float> &SrcScore,
@@ -555,14 +386,6 @@ void kernels::sddmmAddScalarsInto(const CsrMatrix &Mask,
   });
 }
 
-std::vector<float> kernels::sddmmAddScalars(const CsrMatrix &Mask,
-                                            const std::vector<float> &SrcScore,
-                                            const std::vector<float> &DstScore) {
-  std::vector<float> Out(static_cast<size_t>(Mask.nnz()), 0.0f);
-  sddmmAddScalarsInto(Mask, SrcScore, DstScore, Out);
-  return Out;
-}
-
 void kernels::scaleSparseRowsInto(const CsrMatrix &A,
                                   const std::vector<float> &D,
                                   std::span<float> OutVals) {
@@ -580,13 +403,6 @@ void kernels::scaleSparseRowsInto(const CsrMatrix &A,
   });
 }
 
-CsrMatrix kernels::scaleSparseRows(const CsrMatrix &A,
-                                   const std::vector<float> &D) {
-  std::vector<float> Vals(static_cast<size_t>(A.nnz()));
-  scaleSparseRowsInto(A, D, Vals);
-  return A.withValues(Vals);
-}
-
 void kernels::scaleSparseColsInto(const CsrMatrix &A,
                                   const std::vector<float> &D,
                                   std::span<float> OutVals) {
@@ -600,13 +416,6 @@ void kernels::scaleSparseColsInto(const CsrMatrix &A,
       OutVals[static_cast<size_t>(K)] =
           A.valueAt(K) * D[static_cast<size_t>(Cols[static_cast<size_t>(K)])];
   });
-}
-
-CsrMatrix kernels::scaleSparseCols(const CsrMatrix &A,
-                                   const std::vector<float> &D) {
-  std::vector<float> Vals(static_cast<size_t>(A.nnz()));
-  scaleSparseColsInto(A, D, Vals);
-  return A.withValues(Vals);
 }
 
 void kernels::scaleSparseBothInto(const CsrMatrix &A,
@@ -629,14 +438,6 @@ void kernels::scaleSparseBothInto(const CsrMatrix &A,
             R[static_cast<size_t>(Cols[static_cast<size_t>(K)])];
     }
   });
-}
-
-CsrMatrix kernels::scaleSparseBoth(const CsrMatrix &A,
-                                   const std::vector<float> &L,
-                                   const std::vector<float> &R) {
-  std::vector<float> Vals(static_cast<size_t>(A.nnz()));
-  scaleSparseBothInto(A, L, R, Vals);
-  return A.withValues(Vals);
 }
 
 void kernels::edgeSoftmaxInto(const CsrMatrix &A,
@@ -668,13 +469,6 @@ void kernels::edgeSoftmaxInto(const CsrMatrix &A,
   });
 }
 
-std::vector<float> kernels::edgeSoftmax(const CsrMatrix &A,
-                                        std::span<const float> EdgeValues) {
-  std::vector<float> Out(EdgeValues.size(), 0.0f);
-  edgeSoftmaxInto(A, EdgeValues, Out);
-  return Out;
-}
-
 void kernels::leakyReluEdgesInto(std::span<const float> EdgeValues,
                                  float NegativeSlope, std::span<float> Out) {
   checkVecDst(Out, EdgeValues.size(), "edge_leaky_relu");
@@ -688,13 +482,6 @@ void kernels::leakyReluEdgesInto(std::span<const float> EdgeValues,
               });
 }
 
-std::vector<float> kernels::leakyReluEdges(std::span<const float> EdgeValues,
-                                           float NegativeSlope) {
-  std::vector<float> Out(EdgeValues.size());
-  leakyReluEdgesInto(EdgeValues, NegativeSlope, Out);
-  return Out;
-}
-
 void kernels::degreeFromOffsetsInto(const CsrMatrix &A,
                                     std::vector<float> &Out) {
   checkVecDst(Out, static_cast<size_t>(A.rows()), "degree_off");
@@ -705,12 +492,6 @@ void kernels::degreeFromOffsetsInto(const CsrMatrix &A,
           static_cast<float>(Offsets[static_cast<size_t>(R) + 1] -
                              Offsets[static_cast<size_t>(R)]);
   });
-}
-
-std::vector<float> kernels::degreeFromOffsets(const CsrMatrix &A) {
-  std::vector<float> Degrees(static_cast<size_t>(A.rows()), 0.0f);
-  degreeFromOffsetsInto(A, Degrees);
-  return Degrees;
 }
 
 void kernels::degreeByBinningInto(const CsrMatrix &A,
@@ -734,12 +515,6 @@ void kernels::degreeByBinningInto(const CsrMatrix &A,
   });
 }
 
-std::vector<float> kernels::degreeByBinning(const CsrMatrix &A) {
-  std::vector<float> Degrees(static_cast<size_t>(A.rows()), 0.0f);
-  degreeByBinningInto(A, Degrees);
-  return Degrees;
-}
-
 void kernels::invDegreeInto(const std::vector<float> &Degrees,
                             std::vector<float> &Out) {
   checkVecDst(Out, Degrees.size(), "inv_degree");
@@ -747,21 +522,9 @@ void kernels::invDegreeInto(const std::vector<float> &Degrees,
     Out[I] = Degrees[I] > 0.0f ? 1.0f / Degrees[I] : 0.0f;
 }
 
-std::vector<float> kernels::invDegree(const std::vector<float> &Degrees) {
-  std::vector<float> Out(Degrees.size());
-  invDegreeInto(Degrees, Out);
-  return Out;
-}
-
 void kernels::invSqrtInto(const std::vector<float> &Degrees,
                           std::vector<float> &Out) {
   checkVecDst(Out, Degrees.size(), "inv_sqrt");
   for (size_t I = 0; I < Degrees.size(); ++I)
     Out[I] = Degrees[I] > 0.0f ? 1.0f / std::sqrt(Degrees[I]) : 0.0f;
-}
-
-std::vector<float> kernels::invSqrt(const std::vector<float> &Degrees) {
-  std::vector<float> Out(Degrees.size());
-  invSqrtInto(Degrees, Out);
-  return Out;
 }

@@ -7,8 +7,8 @@
 // feature flags, so Skylake-X-era and newer server parts qualify.
 //
 // The sddmm dot product deliberately uses 256-bit groups (DotGroup = 8,
-// matching the AVX2 table) so the tiled-SDDMM bitwise contract holds at one
-// shared column quantum across every SIMD level.
+// matching the AVX2 table) so both SIMD levels fold its reduction in the
+// same order.
 //
 //===----------------------------------------------------------------------===//
 

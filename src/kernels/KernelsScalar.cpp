@@ -19,12 +19,11 @@ namespace {
 
 void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
                   float *C, int64_t Ldc, int64_t K, int64_t N,
-                  int64_t RowBegin, int64_t RowEnd, bool Accumulate) {
+                  int64_t RowBegin, int64_t RowEnd) {
   for (int64_t I = RowBegin; I < RowEnd; ++I) {
     const float *ARow = A + I * Lda;
     float *CRow = C + I * Ldc;
-    if (!Accumulate)
-      std::fill(CRow, CRow + N, 0.0f);
+    std::fill(CRow, CRow + N, 0.0f);
     for (int64_t KK = 0; KK < K; ++KK) {
       float AVal = ARow[KK];
       if (AVal == 0.0f)
@@ -104,14 +103,14 @@ void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
 
 void sddmmDotRowRange(const int64_t *Offsets, const int32_t *Cols,
                       const float *U, int64_t Ldu, const float *V,
-                      int64_t Ldv, float *Out, int64_t J0, int64_t J1,
-                      bool FirstTile, int64_t RowBegin, int64_t RowEnd) {
+                      int64_t Ldv, float *Out, int64_t Width, int64_t RowBegin,
+                      int64_t RowEnd) {
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     const float *URow = U + R * Ldu;
     for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K) {
       const float *VRow = V + static_cast<int64_t>(Cols[K]) * Ldv;
-      float Acc = FirstTile ? 0.0f : Out[K];
-      for (int64_t J = J0; J < J1; ++J)
+      float Acc = 0.0f;
+      for (int64_t J = 0; J < Width; ++J)
         Acc += URow[J] * VRow[J];
       Out[K] = Acc;
     }

@@ -16,9 +16,9 @@
 /// like a vector FMA lane. Row/element partitions therefore cannot change
 /// any result bit, preserving the 1-vs-N-thread contract. The sddmm dot
 /// product is the one reduction whose order depends on position: features
-/// are folded in groups of Traits::DotGroup, so tiled sddmm matches untiled
-/// bitwise only at tile widths that are multiples of that quantum (the
-/// SimdOps::ColumnQuantum the tile planner rounds to).
+/// are folded in groups of Traits::DotGroup (reported as
+/// SimdOps::ColumnQuantum), which is why its results differ across levels
+/// whose group sizes differ.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +40,7 @@ namespace simd_impl {
 constexpr int64_t GemmRowBlock = 4;
 
 //===----------------------------------------------------------------------===//
-// Packed GEMM: C = A * B (optionally accumulating)
+// Packed GEMM: C = A * B
 //===----------------------------------------------------------------------===//
 
 /// One block of \p MR consecutive C rows starting at \p I. Accumulators
@@ -50,18 +50,14 @@ constexpr int64_t GemmRowBlock = 4;
 /// are independent of N's split into paths and of MR.
 template <class T, int MR>
 void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
-               float *C, int64_t Ldc, int64_t K, int64_t N, int64_t I,
-               bool Accumulate) {
+               float *C, int64_t Ldc, int64_t K, int64_t N, int64_t I) {
   using Vec = typename T::Vec;
   constexpr int64_t W = T::Width;
   int64_t J = 0;
   for (; J + 2 * W <= N; J += 2 * W) {
     Vec Acc[MR][2];
-    for (int R = 0; R < MR; ++R) {
-      const float *CRow = C + (I + R) * Ldc + J;
-      Acc[R][0] = Accumulate ? T::load(CRow) : T::zero();
-      Acc[R][1] = Accumulate ? T::load(CRow + W) : T::zero();
-    }
+    for (int R = 0; R < MR; ++R)
+      Acc[R][0] = Acc[R][1] = T::zero();
     for (int64_t KK = 0; KK < K; ++KK) {
       const float *BRow = B + KK * Ldb + J;
       Vec B0 = T::load(BRow);
@@ -81,7 +77,7 @@ void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
   for (; J + W <= N; J += W) {
     Vec Acc[MR];
     for (int R = 0; R < MR; ++R)
-      Acc[R] = Accumulate ? T::load(C + (I + R) * Ldc + J) : T::zero();
+      Acc[R] = T::zero();
     for (int64_t KK = 0; KK < K; ++KK) {
       Vec BV = T::load(B + KK * Ldb + J);
       for (int R = 0; R < MR; ++R)
@@ -92,7 +88,7 @@ void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
   }
   for (; J < N; ++J) {
     for (int R = 0; R < MR; ++R) {
-      float Acc = Accumulate ? C[(I + R) * Ldc + J] : 0.0f;
+      float Acc = 0.0f;
       for (int64_t KK = 0; KK < K; ++KK)
         Acc = std::fma(A[(I + R) * Lda + KK], B[KK * Ldb + J], Acc);
       C[(I + R) * Ldc + J] = Acc;
@@ -103,12 +99,12 @@ void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
 template <class T>
 void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
                   float *C, int64_t Ldc, int64_t K, int64_t N,
-                  int64_t RowBegin, int64_t RowEnd, bool Accumulate) {
+                  int64_t RowBegin, int64_t RowEnd) {
   int64_t I = RowBegin;
   for (; I + GemmRowBlock <= RowEnd; I += GemmRowBlock)
-    gemmBlock<T, GemmRowBlock>(A, Lda, B, Ldb, C, Ldc, K, N, I, Accumulate);
+    gemmBlock<T, GemmRowBlock>(A, Lda, B, Ldb, C, Ldc, K, N, I);
   for (; I < RowEnd; ++I)
-    gemmBlock<T, 1>(A, Lda, B, Ldb, C, Ldc, K, N, I, Accumulate);
+    gemmBlock<T, 1>(A, Lda, B, Ldb, C, Ldc, K, N, I);
 }
 
 //===----------------------------------------------------------------------===//
@@ -279,28 +275,26 @@ void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
 }
 
 //===----------------------------------------------------------------------===//
-// Plus-times SDDMM (per-edge dot products, tile-resumable)
+// Plus-times SDDMM (per-edge dot products)
 //===----------------------------------------------------------------------===//
 
 template <class T>
 void sddmmDotRowRange(const int64_t *Offsets, const int32_t *Cols,
                       const float *U, int64_t Ldu, const float *V,
-                      int64_t Ldv, float *Out, int64_t J0, int64_t J1,
-                      bool FirstTile, int64_t RowBegin, int64_t RowEnd) {
+                      int64_t Ldv, float *Out, int64_t Width, int64_t RowBegin,
+                      int64_t RowEnd) {
   constexpr int64_t G = T::DotGroup;
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     const float *URow = U + R * Ldu;
     for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K) {
       const float *VRow = V + static_cast<int64_t>(Cols[K]) * Ldv;
-      // Features fold into the scalar accumulator in groups of G starting
-      // at J0; with J0 a multiple of G (ColumnQuantum-rounded tiles) the
-      // group boundaries sit at the same absolute positions in every tile
-      // decomposition, making tiled == untiled bitwise.
-      float Acc = FirstTile ? 0.0f : Out[K];
-      int64_t J = J0;
-      for (; J + G <= J1; J += G)
+      // Features fold into the scalar accumulator in groups of G, left to
+      // right, so each edge's result is independent of the row partition.
+      float Acc = 0.0f;
+      int64_t J = 0;
+      for (; J + G <= Width; J += G)
         Acc += T::dotGroup(URow + J, VRow + J);
-      for (; J < J1; ++J)
+      for (; J < Width; ++J)
         Acc += URow[J] * VRow[J];
       Out[K] = Acc;
     }

@@ -11,82 +11,8 @@ using namespace granii;
 
 namespace {
 
-/// C++ expression for one step's kernel call.
-std::string callExprOf(const CompositionPlan &Plan, const PlanStep &Step) {
-  auto Ref = [&](int Id) {
-    const PlanValue &Val = Plan.Values[static_cast<size_t>(Id)];
-    return Val.InputRole ? Val.DebugName : "v" + std::to_string(Id);
-  };
-  auto Arg = [&](int I) { return Ref(Step.Operands[I]); };
-
-  switch (Step.Op) {
-  case StepOp::Gemm:
-    return "kernels::gemm(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::SpmmWeighted:
-    return "kernels::spmm(" + Arg(0) + ", " + Arg(1) +
-           ", Semiring::plusTimes())";
-  case StepOp::SpmmUnweighted:
-    return "kernels::spmm(" + Arg(0) + ", " + Arg(1) +
-           ", Semiring::plusCopy())";
-  case StepOp::SddmmScaleRow:
-    return "kernels::scaleSparseRows(" + Arg(1) + ", " + Arg(0) + ")";
-  case StepOp::SddmmScaleCol:
-    return "kernels::scaleSparseCols(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::SddmmScaleBoth:
-    return "kernels::scaleSparseBoth(" + Arg(1) + ", " + Arg(0) + ", " +
-           Arg(2) + ")";
-  case StepOp::RowBcast:
-    return "kernels::rowBroadcastMul(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::ColBcast:
-    return "kernels::colBroadcastMul(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::DiagDiag:
-    return "diagMul(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::AddDense:
-    return "kernels::addMatrices(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::ScaleDense:
-    return "kernels::scaleMatrix(" + Arg(0) + ", " +
-           std::to_string(Step.Param) + "f)";
-  case StepOp::Relu:
-    return "kernels::relu(" + Arg(0) + ")";
-  case StepOp::DegreeOffsets:
-    return "kernels::degreeFromOffsets(" + Arg(0) + ")";
-  case StepOp::DegreeBinning:
-    return "kernels::degreeByBinning(" + Arg(0) + ")";
-  case StepOp::InvSqrtVec:
-    return "kernels::invSqrt(" + Arg(0) + ")";
-  case StepOp::InvVec:
-    return "kernels::invDegree(" + Arg(0) + ")";
-  case StepOp::AttnGemv:
-    return "kernels::gemv(" + Arg(0) + ", " + Arg(1) + ")";
-  case StepOp::EdgeLogits:
-    return "withValues(" + Arg(0) + ", kernels::sddmmAddScalars(" + Arg(0) +
-           ", " + Arg(1) + ", " + Arg(2) + "))";
-  case StepOp::EdgeLeakyRelu:
-    return "withValues(" + Arg(0) + ", kernels::leakyReluEdges(" + Arg(0) +
-           ".values(), " + std::to_string(Step.Param) + "f))";
-  case StepOp::EdgeSoftmax:
-    return "withValues(" + Arg(0) + ", kernels::edgeSoftmax(" + Arg(0) +
-           ", " + Arg(0) + ".values()))";
-  }
-  graniiUnreachable("unknown step op");
-}
-
-/// Declared C++ type of a plan value.
-const char *typeOf(const PlanValue &Val) {
-  switch (Val.Kind) {
-  case PlanValueKind::Dense:
-    return "DenseMatrix";
-  case PlanValueKind::Sparse:
-    return "CsrMatrix";
-  case PlanValueKind::Diag:
-  case PlanValueKind::NodeVec:
-    return "std::vector<float>";
-  }
-  return "auto";
-}
-
-/// Destination-passing expression for one step: the `...Into` form the
-/// arena-backed interpreter actually runs, writing into \p Ref(Step.Result).
+/// Kernel call of one step: the `...Into` form the runtime's interpreter
+/// actually runs, writing into \p Ref(Step.Result).
 /// Sparse results keep their pattern in the persistent workspace matrix, so
 /// only the value array is written.
 std::string intoCallExprOf(const PlanStep &Step,
@@ -217,9 +143,9 @@ std::string placementComment(const CompositionPlan &Plan,
   return Out + "\n";
 }
 
-/// Destination-passing body of generatePlanCode: the emitted code executes
-/// against a preplanned workspace exactly like the runtime's arena path.
-std::string generateBufferedPlanCode(const CompositionPlan &Plan,
+} // namespace
+
+std::string granii::generatePlanCode(const CompositionPlan &Plan,
                                      const std::string &FunctionName,
                                      const BufferPlan &Buffers) {
   std::function<std::string(int)> Ref = [&](int Id) -> std::string {
@@ -263,49 +189,10 @@ std::string generateBufferedPlanCode(const CompositionPlan &Plan,
   return Out;
 }
 
-} // namespace
-
-std::string granii::generatePlanCode(const CompositionPlan &Plan,
-                                     const std::string &FunctionName,
-                                     const BufferPlan *Buffers) {
-  if (Buffers)
-    return generateBufferedPlanCode(Plan, FunctionName, *Buffers);
-
-  std::string Setup, Iter;
-  bool AnySetup = false;
-  for (const PlanStep &Step : Plan.Steps) {
-    const PlanValue &Result = Plan.Values[static_cast<size_t>(Step.Result)];
-    std::string Line = std::string("  ") + typeOf(Result) + " v" +
-                       std::to_string(Step.Result) + " = " +
-                       callExprOf(Plan, Step) + ";\n";
-    if (Step.Setup) {
-      Setup += Line;
-      AnySetup = true;
-    } else {
-      Iter += Line;
-    }
-  }
-
-  std::string Out;
-  if (AnySetup) {
-    Out += "// Graph-only computation, hoisted out of the iteration loop.\n";
-    Out += "SetupState " + FunctionName + "_setup(const Inputs &In) {\n";
-    Out += Setup;
-    Out += "  return captureSetup();\n}\n\n";
-  }
-  Out += "DenseMatrix " + FunctionName + "(const Inputs &In";
-  if (AnySetup)
-    Out += ", const SetupState &S";
-  Out += ") {\n";
-  Out += Iter;
-  Out += "  return v" + std::to_string(Plan.OutputValue) + ";\n}\n";
-  return Out;
-}
-
 std::string
 granii::generateDispatchCode(const std::string &ModelName,
                              const std::vector<CompositionPlan> &Promoted,
-                             const DimBinding *Binding) {
+                             const DimBinding &Binding) {
   assert(!Promoted.empty() && "nothing to dispatch over");
 
   // Partition candidates per embedding-size scenario.
@@ -322,11 +209,9 @@ granii::generateDispatchCode(const std::string &ModelName,
   auto FnName = [&](size_t I) {
     return ModelName + "_candidate" + std::to_string(I);
   };
-  // In destination-passing mode every candidate call threads its persistent
-  // workspace through, mirroring the runtime Optimizer's per-plan cache.
-  auto CallArgs = [&](size_t I) {
-    return Binding ? "(In, W" + std::to_string(I) + ")" : "(In)";
-  };
+  // Every candidate call threads its persistent workspace through,
+  // mirroring the runtime Optimizer's per-plan cache.
+  auto CallArgs = [&](size_t I) { return "(In, W" + std::to_string(I) + ")"; };
 
   auto EmitBranch = [&](const std::vector<size_t> &Candidates,
                         const std::string &Indent) {
@@ -362,37 +247,25 @@ granii::generateDispatchCode(const std::string &ModelName,
          "Fig. 7):\n";
   Out += "// " + std::to_string(Promoted.size()) +
          " promoted candidates; size-only conditions where possible.\n";
-  if (Binding)
-    Out += "// Destination-passing form; buffer arenas planned at the "
-           "reference binding\n// N=" +
-           std::to_string(Binding->N) + ", E=" + std::to_string(Binding->E) +
-           ", KIn=" + std::to_string(Binding->KIn) +
-           ", KOut=" + std::to_string(Binding->KOut) +
-           " (slot sharing is binding-independent).\n";
-  Out += "\n";
+  Out += "// Buffer arenas planned at the reference binding\n// N=" +
+         std::to_string(Binding.N) + ", E=" + std::to_string(Binding.E) +
+         ", KIn=" + std::to_string(Binding.KIn) +
+         ", KOut=" + std::to_string(Binding.KOut) +
+         " (slot sharing is binding-independent).\n\n";
 
-  // Candidate bodies come first in destination-passing mode so the
-  // dispatcher's static workspaces see complete struct types.
-  std::string Candidates;
+  // Candidate bodies come first so the dispatcher's static workspaces see
+  // complete struct types.
   for (size_t I = 0; I < Promoted.size(); ++I) {
-    if (Binding) {
-      BufferPlan Buffers(Promoted[I], *Binding, /*Training=*/false);
-      Candidates += generatePlanCode(Promoted[I], FnName(I), &Buffers) + "\n";
-    } else {
-      Candidates += generatePlanCode(Promoted[I], FnName(I)) + "\n";
-    }
+    BufferPlan Buffers(Promoted[I], Binding, /*Training=*/false);
+    Out += generatePlanCode(Promoted[I], FnName(I), Buffers) + "\n";
   }
-  if (Binding)
-    Out += Candidates;
 
   Out += "DenseMatrix " + ModelName + "_forward(const Inputs &In) {\n";
-  if (Binding) {
-    Out += "  // One persistent workspace per candidate: warm-up allocates, "
-           "every\n  // later call runs allocation-free.\n";
-    for (size_t I = 0; I < Promoted.size(); ++I)
-      Out += "  static " + FnName(I) + "_Workspace W" + std::to_string(I) +
-             ";\n";
-  }
+  Out += "  // One persistent workspace per candidate: warm-up allocates, "
+         "every\n  // later call runs allocation-free.\n";
+  for (size_t I = 0; I < Promoted.size(); ++I)
+    Out += "  static " + FnName(I) + "_Workspace W" + std::to_string(I) +
+           ";\n";
 
   std::vector<size_t> GeBranch = GeOnly, LtBranch = LtOnly;
   GeBranch.insert(GeBranch.end(), Both.begin(), Both.end());
@@ -405,8 +278,5 @@ granii::generateDispatchCode(const std::string &ModelName,
   Out += "  }\n";
   Out += "  __builtin_unreachable();\n";
   Out += "}\n";
-
-  if (!Binding)
-    Out += "\n" + Candidates;
   return Out;
 }

@@ -22,31 +22,25 @@
 
 namespace granii {
 
-/// Emits the kernel-call sequence of one plan as a function body.
-/// Setup steps are separated into a `<name>_setup` function that the
-/// iteration loop does not re-execute.
-///
-/// With \p Buffers given, the emitted code is destination-passing against a
-/// preplanned workspace struct, exactly like the runtime's arena path: a
-/// `<name>_Workspace` declaration sized from the buffer plan, `...Into`
-/// kernel calls writing into its slots, and a reuse comment wherever a slot
-/// serves its second (or later) value. Without it, the classic by-value
-/// form is emitted.
+/// Emits the kernel-call sequence of one plan, destination-passing against
+/// a preplanned workspace struct exactly like the runtime's interpreter: a
+/// `<name>_Workspace` declaration sized from \p Buffers, `...Into` kernel
+/// calls writing into its slots, and a reuse comment wherever a slot serves
+/// its second (or later) value. Setup steps are separated into a
+/// `<name>_setup` function that the iteration loop does not re-execute.
 std::string generatePlanCode(const CompositionPlan &Plan,
                              const std::string &FunctionName,
-                             const BufferPlan *Buffers = nullptr);
+                             const BufferPlan &Buffers);
 
 /// Emits the full conditional dispatcher over \p Promoted (paper Fig. 7):
-/// embedding-size conditions first, cost-model comparisons for the rest,
-/// then one emitted function per candidate. With \p Binding given, every
-/// candidate is emitted in destination-passing form with a buffer arena
-/// planned under that reference binding (sizes in the emitted comments are
+/// one emitted function per candidate, each with a buffer arena planned
+/// under the reference \p Binding, then embedding-size conditions first and
+/// cost-model comparisons for the rest. Sizes in the emitted comments are
 /// for that binding; the structure — slot sharing and call sequence — is
-/// binding-independent for fixed scenario).
-std::string
-generateDispatchCode(const std::string &ModelName,
-                     const std::vector<CompositionPlan> &Promoted,
-                     const DimBinding *Binding = nullptr);
+/// binding-independent for a fixed scenario.
+std::string generateDispatchCode(const std::string &ModelName,
+                                 const std::vector<CompositionPlan> &Promoted,
+                                 const DimBinding &Binding);
 
 } // namespace granii
 

@@ -62,6 +62,39 @@ DimBinding LayerInputs::binding(const CompositionPlan *Plan) const {
 // PlanWorkspace
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Values that transitively depend on learned parameters or features, i.e.
+/// the ones the backward pass must reach.
+std::vector<bool> gradPath(const CompositionPlan &Plan) {
+  std::vector<bool> Need(Plan.Values.size(), false);
+  for (size_t V = 0; V < Plan.Values.size(); ++V) {
+    const PlanValue &Val = Plan.Values[V];
+    if (Val.InputRole && *Val.InputRole != LeafRole::Adjacency &&
+        *Val.InputRole != LeafRole::DegreeNorm &&
+        *Val.InputRole != LeafRole::DegreeInv)
+      Need[V] = true;
+  }
+  for (const PlanStep &Step : Plan.Steps) {
+    bool Any = false;
+    for (int Id : Step.Operands)
+      Any |= Need[static_cast<size_t>(Id)];
+    Need[static_cast<size_t>(Step.Result)] = Any;
+  }
+  return Need;
+}
+
+/// True for values the interpreter binds as plain float vectors (the
+/// attention vectors are K_out x 1 leaves but bind as node vectors).
+bool bindsAsVector(const PlanValue &Def) {
+  if (Def.InputRole && (*Def.InputRole == LeafRole::AttnSrcVec ||
+                        *Def.InputRole == LeafRole::AttnDstVec))
+    return true;
+  return Def.Kind == PlanValueKind::Diag || Def.Kind == PlanValueKind::NodeVec;
+}
+
+} // namespace
+
 void PlanWorkspace::configure(const CompositionPlan &PlanIn,
                               const DimBinding &B, bool TrainingIn) {
   if (Buffers && Plan == &PlanIn && Training == TrainingIn &&
@@ -89,14 +122,38 @@ void PlanWorkspace::configure(const CompositionPlan &PlanIn,
   // value arrays can at least be reserved now.
   SparseValues.resize(PlanIn.Values.size());
   Scratch.resize(PlanIn.Values.size());
+  if (!TrainingIn)
+    return;
+
+  // Backward storage: an accumulator for every value the backward pass
+  // reaches (and the seeded output), a dense scratch term as large as the
+  // largest of them, and a per-edge scratch term.
+  const size_t NumValues = PlanIn.Values.size();
+  Grads.Need = gradPath(PlanIn);
+  Grads.Present.assign(NumValues, 0);
+  Grads.Dense.resize(NumValues);
+  Grads.Vec.resize(NumValues);
+  size_t ScratchCap = 0;
+  for (size_t V = 0; V < NumValues; ++V) {
+    if (!Grads.Need[V] && static_cast<int>(V) != PlanIn.OutputValue)
+      continue;
+    const PlanValue &Def = PlanIn.Values[V];
+    const auto Rows = static_cast<size_t>(B.eval(Def.Shape.Rows));
+    if (Def.Kind == PlanValueKind::Sparse) {
+      Grads.Vec[V].reserve(static_cast<size_t>(B.E));
+      Grads.EdgeScratch.reserve(static_cast<size_t>(B.E));
+    } else if (bindsAsVector(Def)) {
+      Grads.Vec[V].reserve(Rows);
+    } else {
+      const size_t Floats = Rows * static_cast<size_t>(B.eval(Def.Shape.Cols));
+      Grads.Dense[V].reserveFloats(Floats);
+      ScratchCap = std::max(ScratchCap, Floats);
+    }
+  }
+  Grads.Scratch.reserveFloats(ScratchCap);
 }
 
-DenseMatrix &PlanWorkspace::denseFor(int Id, int64_t Rows, int64_t Cols) {
-  assert(Buffers && "workspace not configured");
-  const ValueBuffer &B = Buffers->values()[static_cast<size_t>(Id)];
-  assert(B.Slot >= 0 && B.Class == BufferClass::DenseSlot &&
-         "value has no dense slot");
-  DenseMatrix &M = DenseSlots[static_cast<size_t>(B.Slot)];
+DenseMatrix &PlanWorkspace::fit(DenseMatrix &M, int64_t Rows, int64_t Cols) {
   size_t Cap = M.capacityFloats();
   M.resize(Rows, Cols);
   if (M.capacityFloats() != Cap)
@@ -104,17 +161,28 @@ DenseMatrix &PlanWorkspace::denseFor(int Id, int64_t Rows, int64_t Cols) {
   return M;
 }
 
-std::vector<float> &PlanWorkspace::vecFor(int Id, size_t Size) {
-  assert(Buffers && "workspace not configured");
-  const ValueBuffer &B = Buffers->values()[static_cast<size_t>(Id)];
-  assert(B.Slot >= 0 && B.Class == BufferClass::VecSlot &&
-         "value has no vector slot");
-  std::vector<float> &V = VecSlots[static_cast<size_t>(B.Slot)];
+std::vector<float> &PlanWorkspace::fit(std::vector<float> &V, size_t Size) {
   size_t Cap = V.capacity();
   V.resize(Size);
   if (V.capacity() != Cap)
     ++Allocations;
   return V;
+}
+
+DenseMatrix &PlanWorkspace::denseFor(int Id, int64_t Rows, int64_t Cols) {
+  assert(Buffers && "workspace not configured");
+  const ValueBuffer &B = Buffers->values()[static_cast<size_t>(Id)];
+  assert(B.Slot >= 0 && B.Class == BufferClass::DenseSlot &&
+         "value has no dense slot");
+  return fit(DenseSlots[static_cast<size_t>(B.Slot)], Rows, Cols);
+}
+
+std::vector<float> &PlanWorkspace::vecFor(int Id, size_t Size) {
+  assert(Buffers && "workspace not configured");
+  const ValueBuffer &B = Buffers->values()[static_cast<size_t>(Id)];
+  assert(B.Slot >= 0 && B.Class == BufferClass::VecSlot &&
+         "value has no vector slot");
+  return fit(VecSlots[static_cast<size_t>(B.Slot)], Size);
 }
 
 CsrMatrix &PlanWorkspace::sparseFor(int Id, const CsrMatrix &PatternSource) {
@@ -157,34 +225,6 @@ double Executor::timeKernel(const PrimitiveDesc &Desc, const GraphStats &Stats,
 namespace {
 
 using detail::RtValue;
-
-/// Gradient accumulators per value.
-struct RtGrad {
-  DenseMatrix Dense;        ///< for Dense values
-  std::vector<float> Vec;   ///< for Diag / NodeVec values
-  std::vector<float> Edge;  ///< for Sparse values (per-edge grads)
-  bool Present = false;
-};
-
-/// Values that transitively depend on learned parameters or features, i.e.
-/// the ones the backward pass must reach.
-std::vector<bool> gradPath(const CompositionPlan &Plan) {
-  std::vector<bool> Need(Plan.Values.size(), false);
-  for (size_t V = 0; V < Plan.Values.size(); ++V) {
-    const PlanValue &Val = Plan.Values[V];
-    if (Val.InputRole && *Val.InputRole != LeafRole::Adjacency &&
-        *Val.InputRole != LeafRole::DegreeNorm &&
-        *Val.InputRole != LeafRole::DegreeInv)
-      Need[V] = true;
-  }
-  for (const PlanStep &Step : Plan.Steps) {
-    bool Any = false;
-    for (int Id : Step.Operands)
-      Any |= Need[static_cast<size_t>(Id)];
-    Need[static_cast<size_t>(Step.Result)] = Any;
-  }
-  return Need;
-}
 
 /// The semiring of an aggregation step: weighted edges scale the neighbor
 /// rows they gather, unweighted ones copy them.
@@ -330,7 +370,9 @@ public:
         Values(Ws.scratch()), Sparse(Sparse) {}
 
   void forward(ExecResult &Result);
-  void backward(ExecResult &Result);
+  /// Runs the backward pass and exports the gradients into \p Result; a
+  /// non-null \p FeaturePerm is the reordering the forward pass ran under.
+  void backward(ExecResult &Result, const Permutation *FeaturePerm);
 
 private:
   void bindInput(size_t Id, const PlanValue &Def);
@@ -623,8 +665,6 @@ void PlanInterpreter::forward(ExecResult &Result) {
     Result.StepProfiles.resize(Plan.Steps.size());
   else
     Result.StepProfiles.clear();
-  Result.WeightGrads.clear();
-  Result.AttnGrads.clear();
 
   for (size_t V = 0; V < Plan.Values.size(); ++V) {
     Values[V] = RtValue();
@@ -638,54 +678,56 @@ void PlanInterpreter::forward(ExecResult &Result) {
   Result.Output = Out.dense();
 }
 
-void PlanInterpreter::backward(ExecResult &Result) {
+void PlanInterpreter::backward(ExecResult &Result,
+                               const Permutation *FeaturePerm) {
   TraceSpan Span("backward", "executor");
-  std::vector<bool> Need = gradPath(Plan);
-  std::vector<RtGrad> Grads(Plan.Values.size());
+  detail::GradState &GS = Ws.gradState();
+  std::fill(GS.Present.begin(), GS.Present.end(), 0);
 
-  auto EnsureDense = [&](int Id) -> DenseMatrix & {
-    RtGrad &G = Grads[static_cast<size_t>(Id)];
-    if (!G.Present) {
-      const RtValue &V = Values[static_cast<size_t>(Id)];
-      G.Dense = DenseMatrix(V.dense().rows(), V.dense().cols());
-      G.Present = true;
-    }
-    return G.Dense;
+  // Accumulators of value Id, zeroed on their first touch in this run.
+  auto AccDense = [&](int Id) -> DenseMatrix & {
+    const auto V = static_cast<size_t>(Id);
+    const DenseMatrix &Val = Values[V].dense();
+    DenseMatrix &Acc = Ws.fit(GS.Dense[V], Val.rows(), Val.cols());
+    if (!GS.Present[V])
+      Acc.fill(0.0f);
+    GS.Present[V] = 1;
+    return Acc;
   };
-  auto EnsureVec = [&](int Id) -> std::vector<float> & {
-    RtGrad &G = Grads[static_cast<size_t>(Id)];
-    if (!G.Present) {
-      G.Vec.assign(Values[static_cast<size_t>(Id)].vec().size(), 0.0f);
-      G.Present = true;
-    }
-    return G.Vec;
+  auto AccVec = [&](int Id, size_t Size) -> std::vector<float> & {
+    const auto V = static_cast<size_t>(Id);
+    std::vector<float> &Acc = Ws.fit(GS.Vec[V], Size);
+    if (!GS.Present[V])
+      std::fill(Acc.begin(), Acc.end(), 0.0f);
+    GS.Present[V] = 1;
+    return Acc;
   };
-  auto EnsureEdge = [&](int Id) -> std::vector<float> & {
-    RtGrad &G = Grads[static_cast<size_t>(Id)];
-    if (!G.Present) {
-      G.Edge.assign(
-          static_cast<size_t>(Values[static_cast<size_t>(Id)].sparse().nnz()),
-          0.0f);
-      G.Present = true;
-    }
-    return G.Edge;
+  auto AccNodeVec = [&](int Id) -> std::vector<float> & {
+    return AccVec(Id, Values[static_cast<size_t>(Id)].vec().size());
+  };
+  auto AccEdge = [&](int Id) -> std::vector<float> & {
+    const CsrMatrix &Val = Values[static_cast<size_t>(Id)].sparse();
+    return AccVec(Id, static_cast<size_t>(Val.nnz()));
+  };
+  // One VJP term, written in full before it is accumulated.
+  auto Term = [&](int64_t Rows, int64_t Cols) -> DenseMatrix & {
+    return Ws.fit(GS.Scratch, Rows, Cols);
   };
 
   // Seed dL/dOut = 1.
-  {
-    DenseMatrix &Seed = EnsureDense(Plan.OutputValue);
-    Seed.fill(1.0f);
-  }
+  AccDense(Plan.OutputValue).fill(1.0f);
 
   double Backward = 0.0;
   for (size_t SI = Plan.Steps.size(); SI-- > 0;) {
     const PlanStep &Step = Plan.Steps[SI];
-    RtGrad &OutG = Grads[static_cast<size_t>(Step.Result)];
-    if (!OutG.Present)
+    const auto Res = static_cast<size_t>(Step.Result);
+    if (!GS.Present[Res])
       continue;
+    const DenseMatrix &DY = GS.Dense[Res];      // dense results
+    const std::vector<float> &DYv = GS.Vec[Res]; // vector and edge results
     auto OpId = [&](int I) { return Step.Operands[I]; };
     auto NeedOp = [&](int I) {
-      return Need[static_cast<size_t>(Step.Operands[I])];
+      return GS.Need[static_cast<size_t>(Step.Operands[I])];
     };
     auto OpVal = [&](int I) -> const RtValue & {
       return Values[static_cast<size_t>(Step.Operands[I])];
@@ -698,15 +740,17 @@ void PlanInterpreter::backward(ExecResult &Result) {
       if (NeedOp(0)) {
         PrimitiveDesc D{PrimitiveKind::Gemm, A.rows(), A.cols(), B.cols(), 0};
         Backward += chargeDesc(D, [&] {
-          DenseMatrix DA = kernels::gemmTransposedRhs(OutG.Dense, B);
-          kernels::axpyInto(1.0f, DA, EnsureDense(OpId(0)));
+          DenseMatrix &DA = Term(A.rows(), A.cols());
+          kernels::gemmTransposedRhsInto(DY, B, DA);
+          kernels::axpyInto(1.0f, DA, AccDense(OpId(0)));
         });
       }
       if (NeedOp(1)) {
         PrimitiveDesc D{PrimitiveKind::Gemm, A.cols(), B.cols(), A.rows(), 0};
         Backward += chargeDesc(D, [&] {
-          DenseMatrix DB = kernels::gemmTransposedLhs(A, OutG.Dense);
-          kernels::axpyInto(1.0f, DB, EnsureDense(OpId(1)));
+          DenseMatrix &DB = Term(A.cols(), DY.cols());
+          kernels::gemmTransposedLhsInto(A, DY, DB);
+          kernels::axpyInto(1.0f, DB, AccDense(OpId(1)));
         });
       }
       break;
@@ -730,9 +774,9 @@ void PlanInterpreter::backward(ExecResult &Result) {
                         S.cols(), X.cols(), 0, S.nnz()};
         D.Format = SparseFormat::Csc;
         Backward += chargeDesc(D, [&] {
-          DenseMatrix DX(S.cols(), OutG.Dense.cols());
-          Sparse.spmmTransposedInto(S, OutG.Dense, semiringOf(Step.Op), DX);
-          kernels::axpyInto(1.0f, DX, EnsureDense(OpId(1)));
+          DenseMatrix &DX = Term(S.cols(), DY.cols());
+          Sparse.spmmTransposedInto(S, DY, semiringOf(Step.Op), DX);
+          kernels::axpyInto(1.0f, DX, AccDense(OpId(1)));
         });
       }
       if (NeedOp(0)) {
@@ -741,9 +785,10 @@ void PlanInterpreter::backward(ExecResult &Result) {
                         S.nnz()};
         D.Format = Sparse.format();
         Backward += chargeDesc(D, [&] {
-          std::vector<float> DS(static_cast<size_t>(S.nnz()));
-          Sparse.sddmmInto(S, OutG.Dense, X, DS);
-          std::vector<float> &Acc = EnsureEdge(OpId(0));
+          std::vector<float> &DS =
+              Ws.fit(GS.EdgeScratch, static_cast<size_t>(S.nnz()));
+          Sparse.sddmmInto(S, DY, X, DS);
+          std::vector<float> &Acc = AccEdge(OpId(0));
           for (size_t I = 0; I < DS.size(); ++I)
             Acc[I] += DS[I];
         });
@@ -759,11 +804,12 @@ void PlanInterpreter::backward(ExecResult &Result) {
     case StepOp::RowBcast: {
       if (NeedOp(1)) {
         const std::vector<float> &Dv = OpVal(0).vec();
-        PrimitiveDesc D{PrimitiveKind::RowBroadcast, OutG.Dense.rows(),
-                        OutG.Dense.cols(), 0, 0};
+        PrimitiveDesc D{PrimitiveKind::RowBroadcast, DY.rows(), DY.cols(), 0,
+                        0};
         Backward += chargeDesc(D, [&] {
-          DenseMatrix DH = kernels::rowBroadcastMul(Dv, OutG.Dense);
-          kernels::axpyInto(1.0f, DH, EnsureDense(OpId(1)));
+          DenseMatrix &DH = Term(DY.rows(), DY.cols());
+          kernels::rowBroadcastMulInto(Dv, DY, DH);
+          kernels::axpyInto(1.0f, DH, AccDense(OpId(1)));
         });
       }
       break;
@@ -771,11 +817,12 @@ void PlanInterpreter::backward(ExecResult &Result) {
     case StepOp::ColBcast: {
       if (NeedOp(0)) {
         const std::vector<float> &Dv = OpVal(1).vec();
-        PrimitiveDesc D{PrimitiveKind::ColBroadcast, OutG.Dense.rows(),
-                        OutG.Dense.cols(), 0, 0};
+        PrimitiveDesc D{PrimitiveKind::ColBroadcast, DY.rows(), DY.cols(), 0,
+                        0};
         Backward += chargeDesc(D, [&] {
-          DenseMatrix DH = kernels::colBroadcastMul(OutG.Dense, Dv);
-          kernels::axpyInto(1.0f, DH, EnsureDense(OpId(0)));
+          DenseMatrix &DH = Term(DY.rows(), DY.cols());
+          kernels::colBroadcastMulInto(DY, Dv, DH);
+          kernels::axpyInto(1.0f, DH, AccDense(OpId(0)));
         });
       }
       break;
@@ -787,33 +834,30 @@ void PlanInterpreter::backward(ExecResult &Result) {
     case StepOp::InvVec:
       break; // Graph-only.
     case StepOp::AddDense: {
-      PrimitiveDesc D{PrimitiveKind::AddDense, OutG.Dense.rows(),
-                      OutG.Dense.cols(), 0, 0};
+      PrimitiveDesc D{PrimitiveKind::AddDense, DY.rows(), DY.cols(), 0, 0};
       for (int I = 0; I < 2; ++I)
         if (NeedOp(I))
-          Backward += chargeDesc(D, [&] {
-            kernels::axpyInto(1.0f, OutG.Dense, EnsureDense(OpId(I)));
-          });
+          Backward += chargeDesc(
+              D, [&] { kernels::axpyInto(1.0f, DY, AccDense(OpId(I))); });
       break;
     }
     case StepOp::ScaleDense: {
       if (NeedOp(0)) {
-        PrimitiveDesc D{PrimitiveKind::DenseMap, OutG.Dense.rows(),
-                        OutG.Dense.cols(), 0, 0};
+        PrimitiveDesc D{PrimitiveKind::DenseMap, DY.rows(), DY.cols(), 0, 0};
         Backward += chargeDesc(D, [&] {
-          kernels::axpyInto(static_cast<float>(Step.Param), OutG.Dense,
-                            EnsureDense(OpId(0)));
+          kernels::axpyInto(static_cast<float>(Step.Param), DY,
+                            AccDense(OpId(0)));
         });
       }
       break;
     }
     case StepOp::Relu: {
       if (NeedOp(0)) {
-        PrimitiveDesc D{PrimitiveKind::DenseMap, OutG.Dense.rows(),
-                        OutG.Dense.cols(), 0, 0};
+        PrimitiveDesc D{PrimitiveKind::DenseMap, DY.rows(), DY.cols(), 0, 0};
         Backward += chargeDesc(D, [&] {
-          DenseMatrix DI = kernels::reluBackward(OpVal(0).dense(), OutG.Dense);
-          kernels::axpyInto(1.0f, DI, EnsureDense(OpId(0)));
+          DenseMatrix &DI = Term(DY.rows(), DY.cols());
+          kernels::reluBackwardInto(OpVal(0).dense(), DY, DI);
+          kernels::axpyInto(1.0f, DI, AccDense(OpId(0)));
         });
       }
       break;
@@ -824,9 +868,9 @@ void PlanInterpreter::backward(ExecResult &Result) {
       if (NeedOp(0)) {
         PrimitiveDesc D{PrimitiveKind::Gemm, Theta.rows(), Theta.cols(), 1, 0};
         Backward += chargeDesc(D, [&] {
-          DenseMatrix &DTheta = EnsureDense(OpId(0));
+          DenseMatrix &DTheta = AccDense(OpId(0));
           for (int64_t R = 0; R < Theta.rows(); ++R) {
-            float G = OutG.Vec[static_cast<size_t>(R)];
+            float G = DYv[static_cast<size_t>(R)];
             if (G == 0.0f)
               continue;
             float *Row = DTheta.rowPtr(R);
@@ -838,9 +882,9 @@ void PlanInterpreter::backward(ExecResult &Result) {
       if (NeedOp(1)) {
         PrimitiveDesc D{PrimitiveKind::Gemv, Theta.rows(), 0, Theta.cols(), 0};
         Backward += chargeDesc(D, [&] {
-          std::vector<float> &DA = EnsureVec(OpId(1));
+          std::vector<float> &DA = AccNodeVec(OpId(1));
           for (int64_t R = 0; R < Theta.rows(); ++R) {
-            float G = OutG.Vec[static_cast<size_t>(R)];
+            float G = DYv[static_cast<size_t>(R)];
             const float *Row = Theta.rowPtr(R);
             for (int64_t C = 0; C < Theta.cols(); ++C)
               DA[static_cast<size_t>(C)] += G * Row[C];
@@ -857,19 +901,19 @@ void PlanInterpreter::backward(ExecResult &Result) {
                       Mask.nnz()};
       if (NeedOp(1)) {
         Backward += chargeDesc(D, [&] {
-          std::vector<float> &DSrc = EnsureVec(OpId(1));
+          std::vector<float> &DSrc = AccNodeVec(OpId(1));
           for (int64_t R = 0; R < Mask.rows(); ++R)
             for (int64_t K = Offsets[static_cast<size_t>(R)];
                  K < Offsets[static_cast<size_t>(R) + 1]; ++K)
-              DSrc[static_cast<size_t>(R)] += OutG.Edge[static_cast<size_t>(K)];
+              DSrc[static_cast<size_t>(R)] += DYv[static_cast<size_t>(K)];
         });
       }
       if (NeedOp(2)) {
         Backward += chargeDesc(D, [&] {
-          std::vector<float> &DDst = EnsureVec(OpId(2));
+          std::vector<float> &DDst = AccNodeVec(OpId(2));
           for (int64_t K = 0; K < Mask.nnz(); ++K)
             DDst[static_cast<size_t>(Cols[static_cast<size_t>(K)])] +=
-                OutG.Edge[static_cast<size_t>(K)];
+                DYv[static_cast<size_t>(K)];
         });
       }
       break;
@@ -880,23 +924,22 @@ void PlanInterpreter::backward(ExecResult &Result) {
         PrimitiveDesc D{PrimitiveKind::EdgeElementwise, In.rows(), 0, 0,
                         In.nnz()};
         Backward += chargeDesc(D, [&] {
-          std::vector<float> &DIn = EnsureEdge(OpId(0));
+          std::vector<float> &DIn = AccEdge(OpId(0));
           const AlignedVector<float> &Pre = In.values();
           float Slope = static_cast<float>(Step.Param);
           for (size_t I = 0; I < Pre.size(); ++I)
-            DIn[I] += OutG.Edge[I] * (Pre[I] > 0.0f ? 1.0f : Slope);
+            DIn[I] += DYv[I] * (Pre[I] > 0.0f ? 1.0f : Slope);
         });
       }
       break;
     }
     case StepOp::EdgeSoftmax: {
       if (NeedOp(0)) {
-        const CsrMatrix &Alpha = Values[static_cast<size_t>(Step.Result)]
-                                     .sparse();
+        const CsrMatrix &Alpha = Values[Res].sparse();
         PrimitiveDesc D{PrimitiveKind::EdgeSoftmax, Alpha.rows(), 0, 0,
                         Alpha.nnz()};
         Backward += chargeDesc(D, [&] {
-          std::vector<float> &DIn = EnsureEdge(OpId(0));
+          std::vector<float> &DIn = AccEdge(OpId(0));
           const auto &Offsets = Alpha.rowOffsets();
           const auto &AVals = Alpha.values();
           for (int64_t R = 0; R < Alpha.rows(); ++R) {
@@ -905,11 +948,11 @@ void PlanInterpreter::backward(ExecResult &Result) {
             float Dot = 0.0f;
             for (int64_t K = Begin; K < End; ++K)
               Dot += AVals[static_cast<size_t>(K)] *
-                     OutG.Edge[static_cast<size_t>(K)];
+                     DYv[static_cast<size_t>(K)];
             for (int64_t K = Begin; K < End; ++K)
               DIn[static_cast<size_t>(K)] +=
                   AVals[static_cast<size_t>(K)] *
-                  (OutG.Edge[static_cast<size_t>(K)] - Dot);
+                  (DYv[static_cast<size_t>(K)] - Dot);
           }
         });
       }
@@ -919,21 +962,30 @@ void PlanInterpreter::backward(ExecResult &Result) {
   }
   Result.BackwardSeconds = Backward;
 
-  // Export parameter gradients for callers (optimizer steps, grad checks).
+  // Export parameter gradients for callers (optimizer steps, grad checks)
+  // by copy-assignment into the result's existing entries. The feature
+  // gradient of a reordered run scatters straight back to the caller's
+  // vertex order; weight and attention gradients reduce over nodes and are
+  // row-order independent.
   for (size_t V = 0; V < Plan.Values.size(); ++V) {
     const PlanValue &Val = Plan.Values[V];
-    if (!Val.InputRole || !Grads[V].Present)
+    if (!Val.InputRole || !GS.Present[V])
       continue;
     switch (*Val.InputRole) {
     case LeafRole::Weight:
-      Result.WeightGrads[Val.DebugName] = std::move(Grads[V].Dense);
+      Result.WeightGrads[Val.DebugName] = GS.Dense[V];
       break;
     case LeafRole::Features:
-      Result.FeatureGrad = std::move(Grads[V].Dense);
+      if (FeaturePerm) {
+        Result.FeatureGrad.resize(GS.Dense[V].rows(), GS.Dense[V].cols());
+        inversePermuteRowsInto(GS.Dense[V], *FeaturePerm, Result.FeatureGrad);
+      } else {
+        Result.FeatureGrad = GS.Dense[V];
+      }
       break;
     case LeafRole::AttnSrcVec:
     case LeafRole::AttnDstVec:
-      Result.AttnGrads[Val.DebugName] = std::move(Grads[V].Vec);
+      Result.AttnGrads[Val.DebugName] = GS.Vec[V];
       break;
     case LeafRole::Adjacency:
     case LeafRole::DegreeNorm:
@@ -1069,10 +1121,7 @@ LayerInputs permuteInputs(const Executor &Exec, detail::ReorderState &RS,
                           const LayerInputs &Inputs, PlanWorkspace &Ws,
                           double &PermSeconds) {
   const DenseMatrix &H = *Inputs.Features;
-  size_t Cap = RS.PermFeatures.capacityFloats();
-  RS.PermFeatures.resize(H.rows(), H.cols());
-  if (RS.PermFeatures.capacityFloats() != Cap)
-    Ws.countAllocation();
+  Ws.fit(RS.PermFeatures, H.rows(), H.cols());
   // The gather runs every iteration (features may change between calls
   // even when the graph does not), so it is charged per iteration as a
   // dense row map — its real cost on measured platforms.
@@ -1092,10 +1141,7 @@ LayerInputs permuteInputs(const Executor &Exec, detail::ReorderState &RS,
 /// order through \p Staging and returns the seconds charged.
 double unpermuteRows(const Executor &Exec, detail::ReorderState &RS,
                      DenseMatrix &M, DenseMatrix &Staging, PlanWorkspace &Ws) {
-  size_t Cap = Staging.capacityFloats();
-  Staging.resize(M.rows(), M.cols());
-  if (Staging.capacityFloats() != Cap)
-    Ws.countAllocation();
+  Ws.fit(Staging, M.rows(), M.cols());
   TraceSpan Span("unpermute-output", "executor");
   PrimitiveDesc Desc{PrimitiveKind::DenseMap, M.rows(), M.cols(), 0, 0};
   double Seconds = Exec.timeKernel(Desc, RS.PermStats, [&] {
@@ -1183,19 +1229,15 @@ void Executor::execute(const CompositionPlan &Plan, const LayerInputs &Inputs,
   SparseOperand Sparse(Hw, Adj, *BoundStats, Ws, Format, Sharding.active());
   PlanInterpreter Interp(*this, Plan, *Bound, *BoundStats, Ws, Sparse);
   Interp.forward(Result);
-  if (Training)
-    Interp.backward(Result);
-  if (Policy != ReorderPolicy::None) {
-    PermSeconds += unpermuteRows(*this, RS, Result.Output, RS.PermOutput, Ws);
-    // Weight and attention gradients reduce over nodes and are row-order
-    // independent; only the feature gradient is per-node and must return
-    // to the caller's vertex order. Training allocates per call anyway.
-    if (Training && Result.FeatureGrad.rows() > 0) {
-      DenseMatrix Staging(Result.FeatureGrad.rows(), Result.FeatureGrad.cols());
-      inversePermuteRowsInto(Result.FeatureGrad, RS.Perm, Staging);
-      std::swap(Result.FeatureGrad, Staging);
-    }
+  if (Training) {
+    Interp.backward(Result,
+                    Policy != ReorderPolicy::None ? &RS.Perm : nullptr);
+  } else {
+    Result.WeightGrads.clear();
+    Result.AttnGrads.clear();
   }
+  if (Policy != ReorderPolicy::None)
+    PermSeconds += unpermuteRows(*this, RS, Result.Output, RS.PermOutput, Ws);
   Result.SetupSeconds += SetupSeconds;
   Result.ForwardSeconds += PermSeconds;
 }

@@ -9,10 +9,11 @@
 /// the backward pass always runs the step-local VJPs, which is why training
 /// speedups trail inference speedups).
 ///
-/// Execution is destination-passing throughout: every step writes its
-/// result through the kernels' `...Into` forms into a PlanWorkspace, whose
-/// BufferPlan-assigned slots persist across calls so steady-state inference
-/// performs zero heap allocations. There is one execution path: the
+/// Execution is destination-passing throughout: every forward step and
+/// every backward VJP writes through the kernels' `...Into` forms into a
+/// PlanWorkspace, whose BufferPlan-assigned slots and gradient accumulators
+/// persist across calls so steady-state inference and training perform
+/// zero heap allocations. There is one execution path: the
 /// by-value run()/runTraining() are thin wrappers that run a temporary
 /// workspace once cold and once warm, and every plan step executes exactly
 /// once per run.
@@ -147,6 +148,20 @@ struct ShardState {
   shard::ShardStaging Staging;
 };
 
+/// Backward-pass storage of a workspace, presized by configure() in
+/// training mode: one gradient accumulator per plan value the backward pass
+/// reaches (dense values in Dense, node vectors and per-edge gradients of
+/// sparse values in Vec, both indexed by value id) and one dense and one
+/// per-edge scratch term, each reused by every VJP before it accumulates.
+struct GradState {
+  std::vector<bool> Need;    ///< values that depend on features/parameters
+  std::vector<char> Present; ///< accumulator written in the current run
+  std::vector<DenseMatrix> Dense;
+  std::vector<std::vector<float>> Vec;
+  DenseMatrix Scratch;
+  std::vector<float> EdgeScratch;
+};
+
 } // namespace detail
 
 /// Profiling record for one executed step, filled when the executor's step
@@ -181,7 +196,9 @@ struct ExecResult {
 
   /// Gradients produced by runTraining (empty after run()): one entry per
   /// weight leaf, keyed by its name ("W", "W0", ...), plus the feature
-  /// gradient needed by upstream layers.
+  /// gradient needed by upstream layers. They are copy-assigned from the
+  /// workspace's accumulators, so a result reused for the same plan reuses
+  /// their storage (entries are overwritten, never erased, by training).
   std::map<std::string, DenseMatrix> WeightGrads;
   DenseMatrix FeatureGrad;
   std::map<std::string, std::vector<float>> AttnGrads;
@@ -210,8 +227,9 @@ public:
 
   /// Prepares storage for \p Plan under \p Binding. A matching prior
   /// configuration is kept as-is; otherwise the BufferPlan is recomputed
-  /// and every slot is presized to its planned capacity (growth events are
-  /// not counted — they are the warm-up cost).
+  /// and every slot — in training mode every gradient accumulator and
+  /// scratch term too — is presized to its planned capacity (growth events
+  /// are not counted — they are the warm-up cost).
   void configure(const CompositionPlan &Plan, const DimBinding &Binding,
                  bool Training);
 
@@ -232,6 +250,10 @@ public:
   /// @{
   DenseMatrix &denseFor(int Id, int64_t Rows, int64_t Cols);
   std::vector<float> &vecFor(int Id, size_t Size);
+  /// Reshapes a workspace-managed buffer to the requested size, counting
+  /// any capacity growth.
+  DenseMatrix &fit(DenseMatrix &M, int64_t Rows, int64_t Cols);
+  std::vector<float> &fit(std::vector<float> &V, size_t Size);
   /// Persistent sparse value: adopts \p PatternSource's pattern (copied
   /// into place, reusing capacity) and exposes a value array of nnz floats.
   CsrMatrix &sparseFor(int Id, const CsrMatrix &PatternSource);
@@ -246,8 +268,10 @@ public:
   /// The workspace's cached sharding state (partition + blocks + halo
   /// staging; empty until an executor run with an active ShardSpec).
   detail::ShardState &shardState() { return Shard; }
+  /// The workspace's backward-pass storage (empty outside training mode).
+  detail::GradState &gradState() { return Grads; }
   /// Records a growth of a workspace-managed buffer that lives outside the
-  /// slot arrays (the reorder staging buffers).
+  /// slot arrays (the shard halo staging).
   void countAllocation() { ++Allocations; }
   /// @}
 
@@ -264,6 +288,7 @@ private:
   detail::ReorderState Reorder;
   detail::FormatState Format;
   detail::ShardState Shard;
+  detail::GradState Grads;
   size_t Allocations = 0;
 };
 
@@ -333,12 +358,13 @@ public:
            SparseFormat Format = SparseFormat::Csr,
            const ShardSpec &Sharding = ShardSpec()) const;
 
-  /// Forward + backward against \p Ws. The forward activations live in
-  /// \p Ws (fully pinned in training mode); gradient accumulators and
-  /// exported gradients still allocate per call. Under a non-None \p Policy
-  /// the feature gradient is scattered back alongside the output; weight
-  /// and attention gradients are row-order invariant and need no
-  /// correction.
+  /// Forward + backward against \p Ws. The forward activations (fully
+  /// pinned in training mode), the gradient accumulators and the VJP
+  /// scratch all live in \p Ws, and gradients are copy-assigned into
+  /// \p Result's existing entries, so after one warm-up call repeated calls
+  /// perform zero workspace allocations. Under a non-None \p Policy the
+  /// feature gradient is scattered back alongside the output; weight and
+  /// attention gradients are row-order invariant and need no correction.
   void runTraining(const CompositionPlan &Plan, const LayerInputs &Inputs,
                    const GraphStats &Stats, PlanWorkspace &Ws,
                    ExecResult &Result,

@@ -59,8 +59,8 @@ public:
   void setValues(std::vector<float> Vals);
 
   /// \returns a copy of this matrix's pattern carrying \p Vals as its
-  /// explicit weights (the by-value diagonal-scaling kernels build their
-  /// results this way).
+  /// explicit weights (e.g. the value array a diagonal-scaling kernel
+  /// wrote).
   CsrMatrix withValues(std::span<const float> Vals) const;
 
   /// Rebuilds this matrix in place as a weighted matrix with the given

@@ -17,6 +17,21 @@ std::vector<CompositionPlan> gcnPromoted() {
   return pruneCompositions(enumerateCompositions(M.Root));
 }
 
+DimBinding referenceBinding() {
+  DimBinding B;
+  B.N = 4096;
+  B.E = 65536;
+  B.KIn = 64;
+  B.KOut = 64;
+  return B;
+}
+
+/// Emitted code of \p Plan with its arena planned at the reference binding.
+std::string planCode(const CompositionPlan &Plan, const std::string &Name) {
+  BufferPlan Buffers(Plan, referenceBinding(), /*Training=*/false);
+  return generatePlanCode(Plan, Name, Buffers);
+}
+
 size_t countOccurrences(const std::string &Haystack,
                         const std::string &Needle) {
   size_t Count = 0, Pos = 0;
@@ -35,12 +50,13 @@ size_t countOccurrences(const std::string &Haystack,
 
 TEST(CodeGen, PlanCodeSeparatesSetup) {
   auto Plans = gcnPromoted();
-  std::string Code = generatePlanCode(Plans[0], "gcn_c0");
+  std::string Code = planCode(Plans[0], "gcn_c0");
   // Degree + rsqrt are graph-only: they belong to the _setup function.
-  EXPECT_NE(Code.find("gcn_c0_setup(const Inputs &In)"), std::string::npos);
+  EXPECT_NE(Code.find("gcn_c0_setup(const Inputs &In, gcn_c0_Workspace &W)"),
+            std::string::npos);
   size_t SetupPos = Code.find("_setup");
   size_t DegreePos = Code.find("degreeFromOffsets");
-  size_t MainPos = Code.find("DenseMatrix gcn_c0(const Inputs &In");
+  size_t MainPos = Code.find("DenseMatrix &gcn_c0(const Inputs &In");
   ASSERT_NE(DegreePos, std::string::npos);
   ASSERT_NE(MainPos, std::string::npos);
   EXPECT_LT(SetupPos, DegreePos);
@@ -50,10 +66,11 @@ TEST(CodeGen, PlanCodeSeparatesSetup) {
 TEST(CodeGen, PlanCodeReturnsOutputValue) {
   auto Plans = gcnPromoted();
   for (const CompositionPlan &Plan : Plans) {
-    std::string Code = generatePlanCode(Plan, "f");
-    EXPECT_NE(
-        Code.find("return v" + std::to_string(Plan.OutputValue) + ";"),
-        std::string::npos);
+    BufferPlan Buffers(Plan, referenceBinding(), /*Training=*/false);
+    std::string Code = generatePlanCode(Plan, "f", Buffers);
+    int Slot = Buffers.values()[static_cast<size_t>(Plan.OutputValue)].Slot;
+    EXPECT_NE(Code.find("return W.s" + std::to_string(Slot) + ";"),
+              std::string::npos);
   }
 }
 
@@ -61,9 +78,10 @@ TEST(CodeGen, PlanCodeUsesKernelApiNames) {
   auto Plans = gcnPromoted();
   bool SawSpmm = false, SawScaleBoth = false;
   for (const CompositionPlan &Plan : Plans) {
-    std::string Code = generatePlanCode(Plan, "f");
-    SawSpmm |= Code.find("kernels::spmm(") != std::string::npos;
-    SawScaleBoth |= Code.find("kernels::scaleSparseBoth(") != std::string::npos;
+    std::string Code = planCode(Plan, "f");
+    SawSpmm |= Code.find("kernels::spmmInto(") != std::string::npos;
+    SawScaleBoth |=
+        Code.find("kernels::scaleSparseBothInto(") != std::string::npos;
   }
   EXPECT_TRUE(SawSpmm);
   EXPECT_TRUE(SawScaleBoth);
@@ -72,14 +90,15 @@ TEST(CodeGen, PlanCodeUsesKernelApiNames) {
 TEST(CodeGen, GatAttentionStepsEmitted) {
   GnnModel M = makeModel(ModelKind::GAT);
   auto Plans = pruneCompositions(enumerateCompositions(M.Root));
-  std::string Code = generatePlanCode(Plans[0], "gat0");
+  std::string Code = planCode(Plans[0], "gat0");
   EXPECT_NE(Code.find("sddmmAddScalars"), std::string::npos);
   EXPECT_NE(Code.find("edgeSoftmax"), std::string::npos);
   EXPECT_NE(Code.find("leakyReluEdges"), std::string::npos);
 }
 
 TEST(CodeGen, DispatchSplitsOnEmbeddingSizes) {
-  std::string Code = generateDispatchCode("gcn", gcnPromoted());
+  std::string Code =
+      generateDispatchCode("gcn", gcnPromoted(), referenceBinding());
   EXPECT_NE(Code.find("if (In.KIn >= In.KOut)"), std::string::npos);
   EXPECT_NE(Code.find("gcn_forward"), std::string::npos);
   // GCN has two candidates per scenario: both branches use cost models.
@@ -88,7 +107,7 @@ TEST(CodeGen, DispatchSplitsOnEmbeddingSizes) {
 
 TEST(CodeGen, DispatchEmitsEveryCandidateOnce) {
   auto Promoted = gcnPromoted();
-  std::string Code = generateDispatchCode("gcn", Promoted);
+  std::string Code = generateDispatchCode("gcn", Promoted, referenceBinding());
   for (size_t I = 0; I < Promoted.size(); ++I) {
     std::string Fn = "gcn_candidate" + std::to_string(I) + "(const Inputs";
     EXPECT_EQ(countOccurrences(Code, Fn), 1u) << Fn;
@@ -107,7 +126,7 @@ TEST(CodeGen, SingleCandidateScenarioSkipsCostModels) {
       Two.push_back(P);
   }
   ASSERT_EQ(Two.size(), 2u);
-  std::string Code = generateDispatchCode("m", Two);
+  std::string Code = generateDispatchCode("m", Two, referenceBinding());
   // One candidate per scenario: pure size conditions, no featurization.
   EXPECT_EQ(Code.find("featurize(In.Graph)"), std::string::npos);
 }
@@ -116,23 +135,10 @@ TEST(CodeGen, SingleCandidateScenarioSkipsCostModels) {
 // Destination-passing (buffer-annotated) code generation
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-DimBinding referenceBinding() {
-  DimBinding B;
-  B.N = 4096;
-  B.E = 65536;
-  B.KIn = 64;
-  B.KOut = 64;
-  return B;
-}
-
-} // namespace
-
 TEST(CodeGenBuffers, EmitsWorkspaceStructAndIntoCalls) {
   auto Plans = gcnPromoted();
   BufferPlan Buffers(Plans[0], referenceBinding(), /*Training=*/false);
-  std::string Code = generatePlanCode(Plans[0], "gcn_c0", &Buffers);
+  std::string Code = generatePlanCode(Plans[0], "gcn_c0", Buffers);
 
   // A workspace struct with planned byte totals replaces per-call locals.
   EXPECT_NE(Code.find("struct gcn_c0_Workspace {"), std::string::npos);
@@ -154,7 +160,7 @@ TEST(CodeGenBuffers, ReuseCommentNamesTheDeadValue) {
   bool SawReuse = false;
   for (const CompositionPlan &Plan : Plans) {
     BufferPlan Buffers(Plan, referenceBinding(), /*Training=*/false);
-    std::string Code = generatePlanCode(Plan, "f", &Buffers);
+    std::string Code = generatePlanCode(Plan, "f", Buffers);
     if (Code.find("reuses v") != std::string::npos) {
       SawReuse = true;
       EXPECT_NE(Code.find("'s storage (dead after step"), std::string::npos);
@@ -164,8 +170,8 @@ TEST(CodeGenBuffers, ReuseCommentNamesTheDeadValue) {
 }
 
 TEST(CodeGenBuffers, DispatchThreadsWorkspacesThrough) {
-  DimBinding B = referenceBinding();
-  std::string Code = generateDispatchCode("gcn", gcnPromoted(), &B);
+  std::string Code =
+      generateDispatchCode("gcn", gcnPromoted(), referenceBinding());
   EXPECT_NE(Code.find("reference binding"), std::string::npos);
   EXPECT_NE(Code.find("static gcn_candidate0_Workspace W0;"),
             std::string::npos);
@@ -174,12 +180,6 @@ TEST(CodeGenBuffers, DispatchThreadsWorkspacesThrough) {
   // declarations see complete types.
   EXPECT_LT(Code.find("struct gcn_candidate0_Workspace"),
             Code.find("gcn_forward(const Inputs &In)"));
-}
-
-TEST(CodeGenBuffers, UnannotatedOutputUnchangedByOverload) {
-  auto Plans = gcnPromoted();
-  EXPECT_EQ(generatePlanCode(Plans[0], "f"),
-            generatePlanCode(Plans[0], "f", nullptr));
 }
 
 //===----------------------------------------------------------------------===//

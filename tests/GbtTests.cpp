@@ -88,7 +88,7 @@ TEST(Gbt, ConstantTargetPredictsConstant) {
 }
 
 TEST(Gbt, MinSamplesLeafLimitsTreeGrowth) {
-  GbtDataset Data = makeDataset(40, 1, 8, linearFn);
+  GbtDataset Data = makeDataset(40, 2, 8, linearFn);
   GbtParams Params;
   Params.MinSamplesLeaf = 20;
   Params.NumTrees = 3;

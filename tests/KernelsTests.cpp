@@ -66,7 +66,9 @@ TEST_P(GemmShapes, MatchesReference) {
   auto [M, K, N] = GetParam();
   DenseMatrix A = randomDense(M, K, 1000 + M);
   DenseMatrix B = randomDense(K, N, 2000 + N);
-  EXPECT_TRUE(kernels::gemm(A, B).approxEquals(refGemm(A, B), 1e-3f, 1e-3f));
+  DenseMatrix C(M, N);
+  kernels::gemmInto(A, B, C);
+  EXPECT_TRUE(C.approxEquals(refGemm(A, B), 1e-3f, 1e-3f));
 }
 
 TEST_P(GemmShapes, TransposedLhsMatchesExplicitTranspose) {
@@ -74,8 +76,9 @@ TEST_P(GemmShapes, TransposedLhsMatchesExplicitTranspose) {
   DenseMatrix A = randomDense(K, M, 31 + M); // A^T is M x K
   DenseMatrix B = randomDense(K, N, 32 + N);
   DenseMatrix Expected = refGemm(A.transposed(), B);
-  EXPECT_TRUE(
-      kernels::gemmTransposedLhs(A, B).approxEquals(Expected, 1e-3f, 1e-3f));
+  DenseMatrix C(M, N);
+  kernels::gemmTransposedLhsInto(A, B, C);
+  EXPECT_TRUE(C.approxEquals(Expected, 1e-3f, 1e-3f));
 }
 
 TEST_P(GemmShapes, TransposedRhsMatchesExplicitTranspose) {
@@ -83,8 +86,9 @@ TEST_P(GemmShapes, TransposedRhsMatchesExplicitTranspose) {
   DenseMatrix A = randomDense(M, K, 41 + M);
   DenseMatrix B = randomDense(N, K, 42 + N); // B^T is K x N
   DenseMatrix Expected = refGemm(A, B.transposed());
-  EXPECT_TRUE(
-      kernels::gemmTransposedRhs(A, B).approxEquals(Expected, 1e-3f, 1e-3f));
+  DenseMatrix C(M, N);
+  kernels::gemmTransposedRhsInto(A, B, C);
+  EXPECT_TRUE(C.approxEquals(Expected, 1e-3f, 1e-3f));
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapes,
@@ -95,25 +99,14 @@ INSTANTIATE_TEST_SUITE_P(Shapes, GemmShapes,
                                            GemmShape{40, 1, 9},
                                            GemmShape{1, 64, 1}));
 
-TEST(Gemm, AccumulateAddsIntoExisting) {
-  DenseMatrix A = randomDense(4, 3, 7);
-  DenseMatrix B = randomDense(3, 5, 8);
-  DenseMatrix C(4, 5);
-  C.fill(1.0f);
-  kernels::gemmAccumulate(A, B, C);
-  DenseMatrix Expected = refGemm(A, B);
-  for (int64_t I = 0; I < 4; ++I)
-    for (int64_t J = 0; J < 5; ++J)
-      EXPECT_NEAR(C.at(I, J), Expected.at(I, J) + 1.0f, 1e-3f);
-}
-
 TEST(Gemv, MatchesGemmWithSingleColumn) {
   DenseMatrix A = randomDense(9, 6, 50);
   Rng R(51);
   std::vector<float> X(6);
   for (float &V : X)
     V = R.nextFloat(-1.f, 1.f);
-  std::vector<float> Y = kernels::gemv(A, X);
+  std::vector<float> Y(9);
+  kernels::gemvInto(A, X, Y);
   for (int64_t I = 0; I < 9; ++I) {
     double Acc = 0.0;
     for (int64_t J = 0; J < 6; ++J)
@@ -129,7 +122,8 @@ TEST(Gemv, MatchesGemmWithSingleColumn) {
 TEST(Broadcast, RowBroadcastScalesRows) {
   DenseMatrix H = randomDense(3, 4, 60);
   std::vector<float> D = {2.0f, 0.0f, -1.0f};
-  DenseMatrix Out = kernels::rowBroadcastMul(D, H);
+  DenseMatrix Out(3, 4);
+  kernels::rowBroadcastMulInto(D, H, Out);
   for (int64_t C = 0; C < 4; ++C) {
     EXPECT_FLOAT_EQ(Out.at(0, C), 2.0f * H.at(0, C));
     EXPECT_FLOAT_EQ(Out.at(1, C), 0.0f);
@@ -143,8 +137,9 @@ TEST(Broadcast, RowBroadcastEqualsDiagGemm) {
   DenseMatrix Diag(5, 5);
   for (int64_t I = 0; I < 5; ++I)
     Diag.at(I, I) = D[static_cast<size_t>(I)];
-  EXPECT_TRUE(kernels::rowBroadcastMul(D, H).approxEquals(refGemm(Diag, H),
-                                                          1e-4f, 1e-4f));
+  DenseMatrix Out(5, 3);
+  kernels::rowBroadcastMulInto(D, H, Out);
+  EXPECT_TRUE(Out.approxEquals(refGemm(Diag, H), 1e-4f, 1e-4f));
 }
 
 TEST(Broadcast, ColBroadcastEqualsDiagGemm) {
@@ -153,13 +148,15 @@ TEST(Broadcast, ColBroadcastEqualsDiagGemm) {
   DenseMatrix Diag(3, 3);
   for (int64_t I = 0; I < 3; ++I)
     Diag.at(I, I) = D[static_cast<size_t>(I)];
-  EXPECT_TRUE(kernels::colBroadcastMul(H, D).approxEquals(refGemm(H, Diag),
-                                                          1e-4f, 1e-4f));
+  DenseMatrix Out(4, 3);
+  kernels::colBroadcastMulInto(H, D, Out);
+  EXPECT_TRUE(Out.approxEquals(refGemm(H, Diag), 1e-4f, 1e-4f));
 }
 
 TEST(Elementwise, AddAndAxpyAgree) {
   DenseMatrix A = randomDense(6, 6, 70), B = randomDense(6, 6, 71);
-  DenseMatrix Sum = kernels::addMatrices(A, B);
+  DenseMatrix Sum(6, 6);
+  kernels::addMatricesInto(A, B, Sum);
   DenseMatrix Axpy = B;
   kernels::axpyInto(1.0f, A, Axpy);
   EXPECT_TRUE(Sum.approxEquals(Axpy, 0.0f, 0.0f));
@@ -167,7 +164,8 @@ TEST(Elementwise, AddAndAxpyAgree) {
 
 TEST(Elementwise, ScaleMatrix) {
   DenseMatrix A = randomDense(2, 3, 72);
-  DenseMatrix S = kernels::scaleMatrix(A, -2.0f);
+  DenseMatrix S(2, 3);
+  kernels::scaleMatrixInto(A, -2.0f, S);
   EXPECT_FLOAT_EQ(S.at(1, 2), -2.0f * A.at(1, 2));
 }
 
@@ -177,19 +175,11 @@ TEST(Elementwise, ReluClampsNegatives) {
   A.at(0, 1) = 2.0f;
   A.at(0, 2) = 0.0f;
   A.at(0, 3) = -0.5f;
-  DenseMatrix R = kernels::relu(A);
+  DenseMatrix R(1, 4);
+  kernels::reluInto(A, R);
   EXPECT_FLOAT_EQ(R.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(R.at(0, 1), 2.0f);
   EXPECT_FLOAT_EQ(R.at(0, 3), 0.0f);
-}
-
-TEST(Elementwise, LeakyReluSlope) {
-  DenseMatrix A(1, 2);
-  A.at(0, 0) = -10.0f;
-  A.at(0, 1) = 10.0f;
-  DenseMatrix R = kernels::leakyRelu(A, 0.1f);
-  EXPECT_FLOAT_EQ(R.at(0, 0), -1.0f);
-  EXPECT_FLOAT_EQ(R.at(0, 1), 10.0f);
 }
 
 TEST(Elementwise, ReluBackwardMasks) {
@@ -197,7 +187,8 @@ TEST(Elementwise, ReluBackwardMasks) {
   Pre.at(0, 0) = -1.0f;
   Pre.at(0, 1) = 1.0f;
   Grad.fill(5.0f);
-  DenseMatrix G = kernels::reluBackward(Pre, Grad);
+  DenseMatrix G(1, 2);
+  kernels::reluBackwardInto(Pre, Grad, G);
   EXPECT_FLOAT_EQ(G.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(G.at(0, 1), 5.0f);
 }
@@ -218,7 +209,9 @@ TEST_P(SpmmCases, WeightedMatchesDenseReference) {
   CsrMatrix A = randomSparse(N, N, Entries, Seed, /*Weighted=*/true);
   DenseMatrix B = randomDense(N, K, Seed + 1);
   DenseMatrix Expected = refGemm(A.toDense(), B);
-  EXPECT_TRUE(kernels::spmm(A, B).approxEquals(Expected, 1e-3f, 1e-3f));
+  DenseMatrix Got(N, K);
+  kernels::spmmInto(A, B, Semiring::plusTimes(), Got);
+  EXPECT_TRUE(Got.approxEquals(Expected, 1e-3f, 1e-3f));
 }
 
 TEST_P(SpmmCases, UnweightedIgnoresValues) {
@@ -226,7 +219,8 @@ TEST_P(SpmmCases, UnweightedIgnoresValues) {
   CsrMatrix A = randomSparse(N, N, Entries, Seed, /*Weighted=*/false);
   DenseMatrix B = randomDense(N, K, Seed + 2);
   DenseMatrix Expected = refGemm(A.toDense(), B);
-  DenseMatrix Got = kernels::spmm(A, B, Semiring::plusCopy());
+  DenseMatrix Got(N, K);
+  kernels::spmmInto(A, B, Semiring::plusCopy(), Got);
   EXPECT_TRUE(Got.approxEquals(Expected, 1e-3f, 1e-3f));
 }
 
@@ -246,7 +240,8 @@ TEST(Spmm, MaxSemiringTakesRowMax) {
   B.at(0, 0) = 1.0f;
   B.at(1, 0) = 99.0f; // Not a neighbor; must not appear.
   B.at(2, 0) = 7.0f;
-  DenseMatrix Out = kernels::spmm(A, B, Semiring::maxCopy());
+  DenseMatrix Out(2, 1);
+  kernels::spmmInto(A, B, Semiring::maxCopy(), Out);
   EXPECT_FLOAT_EQ(Out.at(0, 0), 7.0f);
   EXPECT_FLOAT_EQ(Out.at(1, 0), 0.0f); // Empty row stays zero.
 }
@@ -259,7 +254,8 @@ TEST(Spmm, MeanSemiringAverages) {
   DenseMatrix B(2, 1);
   B.at(0, 0) = 2.0f;
   B.at(1, 0) = 4.0f;
-  DenseMatrix Out = kernels::spmm(A, B, Semiring::meanCopy());
+  DenseMatrix Out(1, 1);
+  kernels::spmmInto(A, B, Semiring::meanCopy(), Out);
   EXPECT_FLOAT_EQ(Out.at(0, 0), 3.0f);
 }
 
@@ -267,7 +263,8 @@ TEST(Sddmm, DotMatchesDense) {
   CsrMatrix Mask = randomSparse(8, 8, 20, 600, false);
   DenseMatrix U = randomDense(8, 5, 601);
   DenseMatrix V = randomDense(8, 5, 602);
-  std::vector<float> Vals = kernels::sddmm(Mask, U, V);
+  std::vector<float> Vals(static_cast<size_t>(Mask.nnz()));
+  kernels::sddmmInto(Mask, U, V, Semiring::plusTimes(), Vals);
   const auto &Offsets = Mask.rowOffsets();
   const auto &Cols = Mask.colIndices();
   for (int64_t R = 0; R < 8; ++R)
@@ -288,7 +285,8 @@ TEST(Sddmm, AddScalarsPerEdge) {
   CsrMatrix Mask = Coo.toCsr();
   std::vector<float> Src = {1.f, 2.f, 3.f};
   std::vector<float> Dst = {10.f, 20.f, 30.f};
-  std::vector<float> Vals = kernels::sddmmAddScalars(Mask, Src, Dst);
+  std::vector<float> Vals(2);
+  kernels::sddmmAddScalarsInto(Mask, Src, Dst, Vals);
   EXPECT_FLOAT_EQ(Vals[0], 1.f + 20.f); // edge (0,1)
   EXPECT_FLOAT_EQ(Vals[1], 3.f + 10.f); // edge (2,0)
 }
@@ -305,11 +303,15 @@ TEST(SparseScale, RowColBothAgreeWithDense) {
   }
   DenseMatrix Ad = A.toDense();
 
-  EXPECT_TRUE(kernels::scaleSparseRows(A, L).toDense().approxEquals(
-      refGemm(DL, Ad), 1e-4f, 1e-4f));
-  EXPECT_TRUE(kernels::scaleSparseCols(A, R).toDense().approxEquals(
-      refGemm(Ad, DR), 1e-4f, 1e-4f));
-  EXPECT_TRUE(kernels::scaleSparseBoth(A, L, R).toDense().approxEquals(
+  std::vector<float> Vals(static_cast<size_t>(A.nnz()));
+  kernels::scaleSparseRowsInto(A, L, Vals);
+  EXPECT_TRUE(A.withValues(Vals).toDense().approxEquals(refGemm(DL, Ad), 1e-4f,
+                                                        1e-4f));
+  kernels::scaleSparseColsInto(A, R, Vals);
+  EXPECT_TRUE(A.withValues(Vals).toDense().approxEquals(refGemm(Ad, DR), 1e-4f,
+                                                        1e-4f));
+  kernels::scaleSparseBothInto(A, L, R, Vals);
+  EXPECT_TRUE(A.withValues(Vals).toDense().approxEquals(
       refGemm(refGemm(DL, Ad), DR), 1e-4f, 1e-4f));
 }
 
@@ -321,16 +323,19 @@ TEST(SparseScale, FusedEqualsTwoPass) {
     L[I] = Gen.nextFloat(0.1f, 2.f);
     R[I] = Gen.nextFloat(0.1f, 2.f);
   }
-  CsrMatrix Fused = kernels::scaleSparseBoth(A, L, R);
-  CsrMatrix TwoPass = kernels::scaleSparseCols(kernels::scaleSparseRows(A, L), R);
-  ASSERT_EQ(Fused.nnz(), TwoPass.nnz());
-  for (int64_t K = 0; K < Fused.nnz(); ++K)
-    EXPECT_NEAR(Fused.valueAt(K), TwoPass.valueAt(K), 1e-5f);
+  const auto Nnz = static_cast<size_t>(A.nnz());
+  std::vector<float> Fused(Nnz), RowPass(Nnz), TwoPass(Nnz);
+  kernels::scaleSparseBothInto(A, L, R, Fused);
+  kernels::scaleSparseRowsInto(A, L, RowPass);
+  kernels::scaleSparseColsInto(A.withValues(RowPass), R, TwoPass);
+  for (size_t K = 0; K < Nnz; ++K)
+    EXPECT_NEAR(Fused[K], TwoPass[K], 1e-5f);
 }
 
 TEST(EdgeSoftmax, RowsSumToOne) {
   CsrMatrix A = randomSparse(12, 12, 40, 800, true);
-  std::vector<float> Soft = kernels::edgeSoftmax(A, A.values());
+  std::vector<float> Soft(static_cast<size_t>(A.nnz()));
+  kernels::edgeSoftmaxInto(A, A.values(), Soft);
   const auto &Offsets = A.rowOffsets();
   for (int64_t R = 0; R < 12; ++R) {
     int64_t Begin = Offsets[static_cast<size_t>(R)];
@@ -351,15 +356,15 @@ TEST(EdgeSoftmax, LargeLogitsAreStable) {
   Coo.add(0, 0);
   Coo.add(0, 1);
   CsrMatrix A = Coo.toCsr();
-  std::vector<float> Soft =
-      kernels::edgeSoftmax(A, std::vector<float>{500.0f, 500.0f});
+  std::vector<float> Soft(2);
+  kernels::edgeSoftmaxInto(A, std::vector<float>{500.0f, 500.0f}, Soft);
   EXPECT_NEAR(Soft[0], 0.5f, 1e-6f);
   EXPECT_FALSE(std::isnan(Soft[1]));
 }
 
 TEST(EdgeMap, LeakyReluEdges) {
-  std::vector<float> Out =
-      kernels::leakyReluEdges(std::vector<float>{-1.0f, 2.0f}, 0.25f);
+  std::vector<float> Out(2);
+  kernels::leakyReluEdgesInto(std::vector<float>{-1.0f, 2.0f}, 0.25f, Out);
   EXPECT_FLOAT_EQ(Out[0], -0.25f);
   EXPECT_FLOAT_EQ(Out[1], 2.0f);
 }
@@ -370,16 +375,17 @@ TEST(EdgeMap, LeakyReluEdges) {
 
 TEST(Degree, OffsetsAndBinningAgree) {
   CsrMatrix A = randomSparse(30, 30, 100, 900, false);
-  std::vector<float> Off = kernels::degreeFromOffsets(A);
-  std::vector<float> Bin = kernels::degreeByBinning(A);
-  ASSERT_EQ(Off.size(), Bin.size());
+  std::vector<float> Off(30), Bin(30);
+  kernels::degreeFromOffsetsInto(A, Off);
+  kernels::degreeByBinningInto(A, Bin);
   for (size_t I = 0; I < Off.size(); ++I)
     EXPECT_FLOAT_EQ(Off[I], Bin[I]);
 }
 
 TEST(Degree, SumsToNnz) {
   CsrMatrix A = randomSparse(25, 25, 80, 901, false);
-  std::vector<float> Deg = kernels::degreeFromOffsets(A);
+  std::vector<float> Deg(25);
+  kernels::degreeFromOffsetsInto(A, Deg);
   double Sum = 0.0;
   for (float D : Deg)
     Sum += D;
@@ -387,13 +393,15 @@ TEST(Degree, SumsToNnz) {
 }
 
 TEST(Degree, InvSqrtZeroesIsolatedNodes) {
-  std::vector<float> Out = kernels::invSqrt({0.0f, 4.0f});
+  std::vector<float> Out(2);
+  kernels::invSqrtInto({0.0f, 4.0f}, Out);
   EXPECT_FLOAT_EQ(Out[0], 0.0f); // isolated node: no normalization mass
   EXPECT_FLOAT_EQ(Out[1], 0.5f);
 }
 
 TEST(Degree, InvDegreeZeroesIsolatedNodes) {
-  std::vector<float> Out = kernels::invDegree({0.0f, 4.0f});
+  std::vector<float> Out(2);
+  kernels::invDegreeInto({0.0f, 4.0f}, Out);
   EXPECT_FLOAT_EQ(Out[0], 0.0f);
   EXPECT_FLOAT_EQ(Out[1], 0.25f);
 }
@@ -412,9 +420,12 @@ TEST(Degree, NormalizationMatchesDenseReferenceWithIsolatedVertices) {
   Coo.add(0, 3, 1.0f);
   CsrMatrix A = Coo.toCsr(/*Structural=*/false);
 
-  std::vector<float> Deg = kernels::degreeFromOffsets(A);
-  std::vector<float> Norm = kernels::invSqrt(Deg);
-  CsrMatrix Scaled = kernels::scaleSparseBoth(A, Norm, Norm);
+  std::vector<float> Deg(4), Norm(4);
+  kernels::degreeFromOffsetsInto(A, Deg);
+  kernels::invSqrtInto(Deg, Norm);
+  std::vector<float> ScaledVals(static_cast<size_t>(A.nnz()));
+  kernels::scaleSparseBothInto(A, Norm, Norm, ScaledVals);
+  CsrMatrix Scaled = A.withValues(ScaledVals);
 
   // Dense reference built from the true degrees, 0 coefficient when deg 0.
   DenseMatrix Dense = A.toDense();
@@ -442,13 +453,16 @@ TEST(Degree, NormalizationMatchesDenseReferenceWithIsolatedVertices) {
 TEST(KernelChecks, GemmInnerDimMismatchDies) {
   DenseMatrix A = randomDense(4, 5, 70);
   DenseMatrix B = randomDense(6, 3, 71); // inner dim 5 != 6
-  EXPECT_DEATH(kernels::gemm(A, B), "gemm inner dimension mismatch");
+  DenseMatrix Dst(4, 3);
+  EXPECT_DEATH(kernels::gemmInto(A, B, Dst), "gemm inner dimension mismatch");
 }
 
 TEST(KernelChecks, SpmmDimMismatchDies) {
   CsrMatrix A = randomSparse(8, 8, 20, 72, true);
   DenseMatrix B = randomDense(9, 4, 73); // 8 cols vs 9 rows
-  EXPECT_DEATH(kernels::spmm(A, B), "spmm dimension mismatch");
+  DenseMatrix Dst(8, 4);
+  EXPECT_DEATH(kernels::spmmInto(A, B, Semiring::plusTimes(), Dst),
+               "spmm dimension mismatch");
 }
 
 TEST(KernelChecks, GemmIntoWrongDstShapeDies) {
@@ -509,14 +523,16 @@ void expectBitwiseEqual(std::span<const float> A, std::span<const float> B) {
 TEST(Determinism, SpmmUnweightedBitwiseIdenticalAcrossThreadCounts) {
   const Graph &G = skewedGraph();
   DenseMatrix H = randomDense(G.numNodes(), 48, 81);
-  DenseMatrix One = withThreads(
-      1, [&] { return kernels::spmm(G.adjacency(), H, Semiring::plusCopy()); });
-  for (int Threads : {2, 3, 8}) {
-    DenseMatrix Many = withThreads(Threads, [&] {
-      return kernels::spmm(G.adjacency(), H, Semiring::plusCopy());
+  auto Run = [&](int Threads) {
+    return withThreads(Threads, [&] {
+      DenseMatrix Out(G.numNodes(), 48);
+      kernels::spmmInto(G.adjacency(), H, Semiring::plusCopy(), Out);
+      return Out;
     });
-    expectBitwiseEqual(One, Many);
-  }
+  };
+  DenseMatrix One = Run(1);
+  for (int Threads : {2, 3, 8})
+    expectBitwiseEqual(One, Run(Threads));
 }
 
 TEST(Determinism, SpmmWeightedBitwiseIdenticalAcrossThreadCounts) {
@@ -528,32 +544,51 @@ TEST(Determinism, SpmmWeightedBitwiseIdenticalAcrossThreadCounts) {
     V = R.nextFloat(0.1f, 1.0f);
   A.setValues(std::move(Vals));
   DenseMatrix H = randomDense(G.numNodes(), 48, 83);
-  DenseMatrix One = withThreads(1, [&] { return kernels::spmm(A, H); });
-  DenseMatrix Eight = withThreads(8, [&] { return kernels::spmm(A, H); });
-  expectBitwiseEqual(One, Eight);
+  auto Run = [&](int Threads) {
+    return withThreads(Threads, [&] {
+      DenseMatrix Out(G.numNodes(), 48);
+      kernels::spmmInto(A, H, Semiring::plusTimes(), Out);
+      return Out;
+    });
+  };
+  expectBitwiseEqual(Run(1), Run(8));
 }
 
 TEST(Determinism, GemmFamilyBitwiseIdenticalAcrossThreadCounts) {
   DenseMatrix A = randomDense(300, 64, 84);
   DenseMatrix B = randomDense(64, 96, 85);
-  expectBitwiseEqual(withThreads(1, [&] { return kernels::gemm(A, B); }),
-                     withThreads(8, [&] { return kernels::gemm(A, B); }));
   DenseMatrix At = randomDense(300, 64, 86); // A^T*B over shared dim 300
-  expectBitwiseEqual(
-      withThreads(1, [&] { return kernels::gemmTransposedLhs(At, A); }),
-      withThreads(8, [&] { return kernels::gemmTransposedLhs(At, A); }));
-  expectBitwiseEqual(
-      withThreads(1, [&] { return kernels::gemmTransposedRhs(A, At); }),
-      withThreads(8, [&] { return kernels::gemmTransposedRhs(A, At); }));
+  auto Run = [&](int Threads, int64_t Rows, int64_t Cols, auto Kernel) {
+    return withThreads(Threads, [&] {
+      DenseMatrix Out(Rows, Cols);
+      Kernel(Out);
+      return Out;
+    });
+  };
+  auto Gemm = [&](DenseMatrix &Out) { kernels::gemmInto(A, B, Out); };
+  auto TLhs = [&](DenseMatrix &Out) {
+    kernels::gemmTransposedLhsInto(At, A, Out);
+  };
+  auto TRhs = [&](DenseMatrix &Out) {
+    kernels::gemmTransposedRhsInto(A, At, Out);
+  };
+  expectBitwiseEqual(Run(1, 300, 96, Gemm), Run(8, 300, 96, Gemm));
+  expectBitwiseEqual(Run(1, 64, 64, TLhs), Run(8, 64, 64, TLhs));
+  expectBitwiseEqual(Run(1, 300, 300, TRhs), Run(8, 300, 300, TRhs));
 }
 
 TEST(Determinism, SddmmBitwiseIdenticalAcrossThreadCounts) {
   const Graph &G = skewedGraph();
   DenseMatrix U = randomDense(G.numNodes(), 32, 87);
   DenseMatrix V = randomDense(G.numNodes(), 32, 88);
-  expectBitwiseEqual(
-      withThreads(1, [&] { return kernels::sddmm(G.adjacency(), U, V); }),
-      withThreads(8, [&] { return kernels::sddmm(G.adjacency(), U, V); }));
+  auto Run = [&](int Threads) {
+    return withThreads(Threads, [&] {
+      std::vector<float> Out(static_cast<size_t>(G.numEdges()));
+      kernels::sddmmInto(G.adjacency(), U, V, Semiring::plusTimes(), Out);
+      return Out;
+    });
+  };
+  expectBitwiseEqual(Run(1), Run(8));
 }
 
 TEST(Determinism, EdgeSoftmaxBitwiseIdenticalAcrossThreadCounts) {
@@ -562,9 +597,14 @@ TEST(Determinism, EdgeSoftmaxBitwiseIdenticalAcrossThreadCounts) {
   std::vector<float> Logits(static_cast<size_t>(G.numEdges()));
   for (float &V : Logits)
     V = R.nextFloat(-2.0f, 2.0f);
-  expectBitwiseEqual(
-      withThreads(1, [&] { return kernels::edgeSoftmax(G.adjacency(), Logits); }),
-      withThreads(8, [&] { return kernels::edgeSoftmax(G.adjacency(), Logits); }));
+  auto Run = [&](int Threads) {
+    return withThreads(Threads, [&] {
+      std::vector<float> Out(Logits.size());
+      kernels::edgeSoftmaxInto(G.adjacency(), Logits, Out);
+      return Out;
+    });
+  };
+  expectBitwiseEqual(Run(1), Run(8));
 }
 
 TEST(Determinism, TransposeBitwiseIdenticalAcrossThreadCounts) {

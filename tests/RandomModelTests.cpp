@@ -117,7 +117,12 @@ TEST_P(RandomModels, AllCompositionsAgreeAndPruningIsSafe) {
   }
 
   // Codegen names every promoted candidate exactly once.
-  std::string Code = generateDispatchCode(Model.Name, Promoted);
+  DimBinding Reference;
+  Reference.N = 4096;
+  Reference.E = 65536;
+  Reference.KIn = 64;
+  Reference.KOut = 64;
+  std::string Code = generateDispatchCode(Model.Name, Promoted, Reference);
   for (size_t I = 0; I < Promoted.size(); ++I)
     EXPECT_NE(Code.find(Model.Name + "_candidate" + std::to_string(I) +
                         "(const Inputs"),

@@ -262,24 +262,6 @@ TEST(TiledKernels, SpmmTiledBitwiseMatchesUntiled) {
   }
 }
 
-TEST(TiledKernels, SddmmTiledBitwiseMatchesUntiled) {
-  Graph G = makeRmat(300, 1800, 0.5, 0.2, 0.2, /*Seed=*/81);
-  Rng Generator(82);
-  DenseMatrix U(G.numNodes(), 40), V(G.numNodes(), 40);
-  U.fillRandom(Generator);
-  V.fillRandom(Generator);
-  std::vector<float> Ref(static_cast<size_t>(G.numEdges()));
-  std::vector<float> Out(static_cast<size_t>(G.numEdges()));
-  kernels::sddmmInto(G.adjacency(), U, V, Semiring::plusTimes(), Ref);
-  for (int64_t Tile : {8, 16, 24, 40, 64}) {
-    kernels::sddmmTiledInto(G.adjacency(), U, V, Semiring::plusTimes(), Tile,
-                            Out);
-    ASSERT_EQ(Out.size(), Ref.size());
-    for (size_t I = 0; I < Ref.size(); ++I)
-      ASSERT_EQ(Out[I], Ref[I]) << "tile " << Tile << " edge " << I;
-  }
-}
-
 TEST(TiledKernels, ColumnTileRespectsCacheBudgetAndFloor) {
   HardwareModel Cpu = HardwareModel::byName("cpu"); // 1 MB modeled L2
   // Small spans: the whole operand fits, no tiling.

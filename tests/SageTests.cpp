@@ -56,13 +56,20 @@ TEST(Sage, MeanAggregationSemantics) {
 
   // Reference: relu(H Wself + D^-1 A H Wneigh) with dense ops.
   const CsrMatrix &A = Params.AdjSelf;
-  std::vector<float> InvDeg =
-      kernels::invDegree(kernels::degreeFromOffsets(A));
-  DenseMatrix Mean = kernels::rowBroadcastMul(
-      InvDeg, kernels::spmm(A, Params.Features, Semiring::plusCopy()));
-  DenseMatrix Ref = kernels::relu(kernels::addMatrices(
-      kernels::gemm(Params.Features, Params.Weights.at("Wself")),
-      kernels::gemm(Mean, Params.Weights.at("Wneigh"))));
+  const DenseMatrix &H = Params.Features;
+  const auto N = static_cast<size_t>(A.rows());
+  std::vector<float> Deg(N), InvDeg(N);
+  kernels::degreeFromOffsetsInto(A, Deg);
+  kernels::invDegreeInto(Deg, InvDeg);
+  DenseMatrix Sum(A.rows(), 6), Mean(A.rows(), 6);
+  kernels::spmmInto(A, H, Semiring::plusCopy(), Sum);
+  kernels::rowBroadcastMulInto(InvDeg, Sum, Mean);
+  DenseMatrix Self(A.rows(), 5), Neigh(A.rows(), 5), Pre(A.rows(), 5),
+      Ref(A.rows(), 5);
+  kernels::gemmInto(H, Params.Weights.at("Wself"), Self);
+  kernels::gemmInto(Mean, Params.Weights.at("Wneigh"), Neigh);
+  kernels::addMatricesInto(Self, Neigh, Pre);
+  kernels::reluInto(Pre, Ref);
   EXPECT_TRUE(Out.approxEquals(Ref, 1e-3f, 1e-3f));
 }
 
@@ -113,10 +120,14 @@ TEST(Sage, MeanSemiringKernelAgreesWithDiagFormulation) {
   DenseMatrix H(G.numNodes(), 4);
   H.fillRandom(R);
   const CsrMatrix &A = G.adjacency();
-  DenseMatrix Mean = kernels::spmm(A, H, Semiring::meanCopy());
-  DenseMatrix Diag = kernels::rowBroadcastMul(
-      kernels::invDegree(kernels::degreeFromOffsets(A)),
-      kernels::spmm(A, H, Semiring::plusCopy()));
+  const auto N = static_cast<size_t>(A.rows());
+  DenseMatrix Mean(A.rows(), 4), Sum(A.rows(), 4), Diag(A.rows(), 4);
+  std::vector<float> Deg(N), InvDeg(N);
+  kernels::spmmInto(A, H, Semiring::meanCopy(), Mean);
+  kernels::degreeFromOffsetsInto(A, Deg);
+  kernels::invDegreeInto(Deg, InvDeg);
+  kernels::spmmInto(A, H, Semiring::plusCopy(), Sum);
+  kernels::rowBroadcastMulInto(InvDeg, Sum, Diag);
   // Rows with degree zero: meanCopy leaves 0, invDegree yields 0 * 0 = 0.
   EXPECT_TRUE(Mean.approxEquals(Diag, 1e-4f, 1e-4f));
 }

@@ -411,26 +411,32 @@ TEST(Engine, WarmRunsAreBitwiseIdenticalAndAllocationFree) {
 }
 
 // A warm run reuses the session's result storage: copying the output out
-// of the arena must not allocate a fresh output matrix per request.
+// of the arena must not allocate a fresh output matrix per request. In a
+// training session the gradient accumulators, the backward pass's scratch
+// terms and the exported gradients reuse their storage too.
 TEST(Engine, WarmRunAllocatesLessThanItsOutput) {
-  Engine Eng(testEngineOptions());
-  JobRequest Req = smallRequest(/*WantOutput=*/false);
-  Req.GraphSpec = "synth:rmat:4096:32768:3";
-  Req.KIn = Req.KOut = 16;
-  std::string Err;
-  std::shared_ptr<Session> S = Eng.session(Req, Err);
-  ASSERT_TRUE(S) << Err;
-  ASSERT_TRUE(S->run(/*WantOutput=*/false).Status.Ok); // cold
+  for (bool Training : {false, true}) {
+    SCOPED_TRACE(Training ? "training" : "inference");
+    Engine Eng(testEngineOptions());
+    JobRequest Req = smallRequest(/*WantOutput=*/false);
+    Req.GraphSpec = "synth:rmat:4096:32768:3";
+    Req.KIn = Req.KOut = 16;
+    Req.Training = Training;
+    std::string Err;
+    std::shared_ptr<Session> S = Eng.session(Req, Err);
+    ASSERT_TRUE(S) << Err;
+    ASSERT_TRUE(S->run(/*WantOutput=*/false).Status.Ok); // cold
 
-  CountedNewBytes = 0;
-  CountingNew = true;
-  RunResponse Warm = S->run(/*WantOutput=*/false);
-  CountingNew = false;
-  ASSERT_TRUE(Warm.Status.Ok) << Warm.Status.Error;
-  EXPECT_EQ(Warm.SteadyAllocations, 0u);
-  EXPECT_LT(CountedNewBytes.load(),
-            static_cast<size_t>(Warm.Rows * Warm.Cols) * sizeof(float))
-      << "warm run allocated " << CountedNewBytes.load() << " bytes";
+    CountedNewBytes = 0;
+    CountingNew = true;
+    RunResponse Warm = S->run(/*WantOutput=*/false);
+    CountingNew = false;
+    ASSERT_TRUE(Warm.Status.Ok) << Warm.Status.Error;
+    EXPECT_EQ(Warm.SteadyAllocations, 0u);
+    EXPECT_LT(CountedNewBytes.load(),
+              static_cast<size_t>(Warm.Rows * Warm.Cols) * sizeof(float))
+        << "warm run allocated " << CountedNewBytes.load() << " bytes";
+  }
 }
 
 TEST(Engine, CompileVerbPopulatesPlanCacheForLaterRuns) {

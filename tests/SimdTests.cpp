@@ -147,9 +147,8 @@ TEST(Dispatch, TablesAreFullyPopulated) {
 }
 
 TEST(Dispatch, SimdLevelsShareOneColumnQuantum) {
-  // HardwareModel::spmmColumnTile rounds to the active ColumnQuantum; the
-  // tiled-SDDMM bitwise contract relies on every SIMD level sharing one
-  // quantum so a tile width legal for one level is legal for all.
+  // Every SIMD level folds the sddmm dot product in groups of the same
+  // quantum (the AVX-512 table deliberately keeps 256-bit groups).
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     if (Level == IsaLevel::Scalar)
       continue;
@@ -207,19 +206,34 @@ TEST(CrossIsa, GemmFamilyAgreesWithScalarLevel) {
   DenseMatrix At = randomDense(45, 37, 13); // lhs of the A^T * B form
   DenseMatrix Bt = randomDense(29, 45, 14); // rhs of the A * B^T form
 
+  // Every product is 37 x 29.
+  auto Gemm = [&] {
+    DenseMatrix C(37, 29);
+    kernels::gemmInto(A, B, C);
+    return C;
+  };
+  auto TLhs = [&] {
+    DenseMatrix C(37, 29);
+    kernels::gemmTransposedLhsInto(At, B, C);
+    return C;
+  };
+  auto TRhs = [&] {
+    DenseMatrix C(37, 29);
+    kernels::gemmTransposedRhsInto(A, Bt, C);
+    return C;
+  };
+
   ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Scalar));
-  DenseMatrix RefGemm = kernels::gemm(A, B);
-  DenseMatrix RefTLhs = kernels::gemmTransposedLhs(At, B);
-  DenseMatrix RefTRhs = kernels::gemmTransposedRhs(A, Bt);
+  DenseMatrix RefGemm = Gemm();
+  DenseMatrix RefTLhs = TLhs();
+  DenseMatrix RefTRhs = TRhs();
 
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
-    expectApproxEqual(kernels::gemm(A, B), RefGemm, 1e-5f, "gemm");
-    expectApproxEqual(kernels::gemmTransposedLhs(At, B), RefTLhs, 1e-5f,
-                      "gemmTransposedLhs");
-    expectApproxEqual(kernels::gemmTransposedRhs(A, Bt), RefTRhs, 1e-5f,
-                      "gemmTransposedRhs");
+    expectApproxEqual(Gemm(), RefGemm, 1e-5f, "gemm");
+    expectApproxEqual(TLhs(), RefTLhs, 1e-5f, "gemmTransposedLhs");
+    expectApproxEqual(TRhs(), RefTRhs, 1e-5f, "gemmTransposedRhs");
   }
 }
 
@@ -229,17 +243,23 @@ TEST(CrossIsa, SpmmAgreesWithScalarLevel) {
   CsrMatrix Unweighted = randomSparse(60, 60, 320, 22, /*Weighted=*/false);
   DenseMatrix B = randomDense(60, 33, 23);
 
+  auto Spmm = [&](const CsrMatrix &A, const Semiring &S) {
+    DenseMatrix Out(60, 33);
+    kernels::spmmInto(A, B, S, Out);
+    return Out;
+  };
+
   ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Scalar));
-  DenseMatrix RefW = kernels::spmm(Weighted, B, Semiring::plusTimes());
-  DenseMatrix RefU = kernels::spmm(Unweighted, B, Semiring::plusCopy());
+  DenseMatrix RefW = Spmm(Weighted, Semiring::plusTimes());
+  DenseMatrix RefU = Spmm(Unweighted, Semiring::plusCopy());
 
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
-    expectApproxEqual(kernels::spmm(Weighted, B, Semiring::plusTimes()),
-                      RefW, 1e-5f, "weighted spmm");
-    expectApproxEqual(kernels::spmm(Unweighted, B, Semiring::plusCopy()),
-                      RefU, 1e-5f, "unweighted spmm");
+    expectApproxEqual(Spmm(Weighted, Semiring::plusTimes()), RefW, 1e-5f,
+                      "weighted spmm");
+    expectApproxEqual(Spmm(Unweighted, Semiring::plusCopy()), RefU, 1e-5f,
+                      "unweighted spmm");
   }
 }
 
@@ -249,13 +269,19 @@ TEST(CrossIsa, SddmmAgreesWithScalarLevel) {
   DenseMatrix U = randomDense(40, 21, 32);
   DenseMatrix V = randomDense(40, 21, 33);
 
+  auto Sddmm = [&] {
+    std::vector<float> Out(static_cast<size_t>(Mask.nnz()));
+    kernels::sddmmInto(Mask, U, V, Semiring::plusTimes(), Out);
+    return Out;
+  };
+
   ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Scalar));
-  std::vector<float> Ref = kernels::sddmm(Mask, U, V);
+  std::vector<float> Ref = Sddmm();
 
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
-    std::vector<float> Got = kernels::sddmm(Mask, U, V);
+    std::vector<float> Got = Sddmm();
     ASSERT_EQ(Got.size(), Ref.size());
     for (size_t I = 0; I < Ref.size(); ++I)
       EXPECT_NEAR(Got[I], Ref[I], 1e-5f) << "edge " << I;
@@ -273,21 +299,34 @@ TEST(CrossIsa, ElementwiseOpsAreBitwiseAcrossLevels) {
   for (float &X : D)
     X = R.nextFloat(-1.0f, 1.0f);
 
+  // Each op writes a fresh 23 x 37 destination at the active level.
+  auto Apply = [&](auto Kernel) {
+    DenseMatrix Out(23, 37);
+    Kernel(Out);
+    return Out;
+  };
+  auto Relu = [&](DenseMatrix &Out) { kernels::reluInto(A, Out); };
+  auto Add = [&](DenseMatrix &Out) { kernels::addMatricesInto(A, B, Out); };
+  auto Scale = [&](DenseMatrix &Out) {
+    kernels::scaleMatrixInto(A, 0.37f, Out);
+  };
+  auto RowMul = [&](DenseMatrix &Out) {
+    kernels::rowBroadcastMulInto(D, A, Out);
+  };
+
   ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Scalar));
-  DenseMatrix RefRelu = kernels::relu(A);
-  DenseMatrix RefAdd = kernels::addMatrices(A, B);
-  DenseMatrix RefScale = kernels::scaleMatrix(A, 0.37f);
-  DenseMatrix RefRowMul = kernels::rowBroadcastMul(D, A);
+  DenseMatrix RefRelu = Apply(Relu);
+  DenseMatrix RefAdd = Apply(Add);
+  DenseMatrix RefScale = Apply(Scale);
+  DenseMatrix RefRowMul = Apply(RowMul);
 
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
-    expectBitwiseEqual(kernels::relu(A), RefRelu, "relu");
-    expectBitwiseEqual(kernels::addMatrices(A, B), RefAdd, "addMatrices");
-    expectBitwiseEqual(kernels::scaleMatrix(A, 0.37f), RefScale,
-                       "scaleMatrix");
-    expectBitwiseEqual(kernels::rowBroadcastMul(D, A), RefRowMul,
-                       "rowBroadcastMul");
+    expectBitwiseEqual(Apply(Relu), RefRelu, "relu");
+    expectBitwiseEqual(Apply(Add), RefAdd, "addMatrices");
+    expectBitwiseEqual(Apply(Scale), RefScale, "scaleMatrix");
+    expectBitwiseEqual(Apply(RowMul), RefRowMul, "rowBroadcastMul");
   }
 }
 
@@ -321,10 +360,11 @@ TEST(CrossIsa, WithinLevelResultsAreThreadCountInvariant) {
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
+    DenseMatrix One(80, 29), Four(80, 29);
     ThreadPool::get().setNumThreads(1);
-    DenseMatrix One = kernels::spmm(A, H, Semiring::plusTimes());
+    kernels::spmmInto(A, H, Semiring::plusTimes(), One);
     ThreadPool::get().setNumThreads(4);
-    DenseMatrix Four = kernels::spmm(A, H, Semiring::plusTimes());
+    kernels::spmmInto(A, H, Semiring::plusTimes(), Four);
     EXPECT_EQ(Four.maxAbsDiff(One), 0.0f)
         << "thread count changed spmm output";
   }

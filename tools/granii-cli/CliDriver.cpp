@@ -261,8 +261,16 @@ int cmdCompile(const ArgParser &Args, std::string &Out, std::string &Err) {
       Out += exportPlanDot(Promoted[I],
                            Parsed->Name + "_plan" + std::to_string(I));
   }
-  if (Args.hasFlag("codegen"))
-    Out += generateDispatchCode(Parsed->Name, Promoted);
+  if (Args.hasFlag("codegen")) {
+    // The emitted arenas are planned at one fixed reference binding, named
+    // in the generated header; slot sharing does not depend on it.
+    DimBinding Reference;
+    Reference.N = 4096;
+    Reference.E = 65536;
+    Reference.KIn = 64;
+    Reference.KOut = 64;
+    Out += generateDispatchCode(Parsed->Name, Promoted, Reference);
+  }
   return 0;
 }
 
