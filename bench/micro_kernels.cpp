@@ -13,7 +13,6 @@
 
 #include "graph/Generators.h"
 #include "graph/Reorder.h"
-#include "hw/HardwareModel.h"
 #include "kernels/Dispatch.h"
 #include "kernels/FormatKernels.h"
 #include "kernels/Kernels.h"
@@ -166,39 +165,30 @@ const Graph &ablationGraphFor(int64_t PolicyIndex) {
 } // namespace
 
 // Reordering ablation: unweighted SpMM under {none, rcm, degree} vertex
-// orderings x {untiled, L2-sized column tiles}. Run with
+// orderings. Run with
 //   --benchmark_filter=ReorderAblation
-// and read items_per_second: the none/untiled row is the baseline the
-// reordered rows are compared against (docs/REORDERING.md records measured
-// numbers).
+// and read items_per_second: the none row is the baseline the reordered
+// rows are compared against (docs/REORDERING.md records measured numbers).
 static void BM_SpmmReorderAblation(benchmark::State &State) {
   const Graph &G = ablationGraphFor(State.range(0));
-  bool Tiled = State.range(1) != 0;
-  int64_t K = State.range(2);
+  int64_t K = State.range(1);
   DenseMatrix H = randomDense(G.numNodes(), K, 9);
   DenseMatrix Out(G.numNodes(), K);
-  int64_t Tile = Tiled ? HardwareModel::byName("cpu").spmmColumnTile(
-                             K, G.stats().AvgRowSpan)
-                       : 0;
   for (auto _ : State) {
-    kernels::spmmTiledInto(G.adjacency(), H, Semiring::plusCopy(), Tile, Out);
+    kernels::spmmInto(G.adjacency(), H, Semiring::plusCopy(), Out);
     benchmark::DoNotOptimize(Out.data());
   }
   State.SetLabel(
       reorderPolicyName(allReorderPolicies()[static_cast<size_t>(
           State.range(0))]) +
-      (Tiled ? "+tiled(" + std::to_string(Tile) + ")" : "/untiled") +
       " span=" + std::to_string(static_cast<int64_t>(G.stats().AvgRowSpan)));
   State.SetItemsProcessed(State.iterations() * G.numEdges() * K);
 }
 BENCHMARK(BM_SpmmReorderAblation)
-    ->ArgNames({"policy", "tiled", "k"})
-    ->Args({0, 0, 128})
-    ->Args({0, 1, 128})
-    ->Args({1, 0, 128})
-    ->Args({1, 1, 128})
-    ->Args({2, 0, 128})
-    ->Args({2, 1, 128});
+    ->ArgNames({"policy", "k"})
+    ->Args({0, 128})
+    ->Args({1, 128})
+    ->Args({2, 128});
 
 static void BM_EdgeSoftmax(benchmark::State &State) {
   const Graph &G = benchGraph();

@@ -160,9 +160,30 @@ std::optional<Optimizer> Optimizer::loadCompiled(const std::string &Path,
                    std::move(*Plans));
 }
 
-Selection Optimizer::selectWithStats(const DimBinding &Binding,
-                                     const GraphStats &GraphStats) const {
+Selection Optimizer::select(const CsrMatrix &AdjSelf,
+                            const GraphStats &SelfStats, int64_t KIn,
+                            int64_t KOut) const {
   Selection Sel;
+  DimBinding Binding;
+  Binding.N = AdjSelf.rows();
+  Binding.E = AdjSelf.nnz();
+  Binding.KIn = KIn;
+  Binding.KOut = KOut;
+
+  // Sharded runs pay halo traffic the cost featurizer must see; the
+  // annotation pass is O(E), the same order as the statistics.
+  Timer FeaturizeTimer;
+  GraphStats Stats = SelfStats;
+  if (Opts.Shards > 1)
+    shard::annotateShardStats(Stats, AdjSelf, Opts.Shards);
+  if (Opts.Hw.isSimulated()) {
+    // On a GPU the featurizer is a couple of O(E) passes.
+    PrimitiveDesc Desc{PrimitiveKind::EdgeElementwise, Binding.N, 0, 0,
+                       Binding.E};
+    Sel.FeaturizeSeconds = 2.0 * Opts.Hw.estimateSeconds(Desc, &Stats);
+  } else {
+    Sel.FeaturizeSeconds = FeaturizeTimer.seconds();
+  }
 
   // Embedding-size conditions first (paper §IV-D): keep only candidates
   // annotated viable for this size scenario.
@@ -188,7 +209,7 @@ Selection Optimizer::selectWithStats(const DimBinding &Binding,
     Sel.PlanIndex = Candidates.front();
     Sel.Format = Formats.front();
     Sel.PredictedSeconds =
-        Cost->planSeconds(Promoted[Sel.PlanIndex], Binding, GraphStats,
+        Cost->planSeconds(Promoted[Sel.PlanIndex], Binding, Stats,
                           Opts.Iterations, Sel.Format);
     Sel.UsedCostModels = false;
     return Sel;
@@ -206,7 +227,7 @@ Selection Optimizer::selectWithStats(const DimBinding &Binding,
   for (size_t Index : Candidates) {
     for (SparseFormat Format : Formats) {
       double PlanCost = Cost->planSeconds(Promoted[Index], Binding,
-                                          GraphStats, Opts.Iterations, Format);
+                                          Stats, Opts.Iterations, Format);
       if (First || PlanCost < BestCost) {
         BestCost = PlanCost;
         BestIndex = Index;
@@ -240,31 +261,14 @@ Selection Optimizer::select(const Graph &G, int64_t KIn, int64_t KOut) const {
   TraceSpan FeaturizeSpan("featurize", "optimizer");
   Timer FeaturizeTimer;
   Graph WithSelf = G.withSelfLoops();
-  GraphStats Stats = WithSelf.stats();
-  // Sharded runs pay halo traffic the cost featurizer must see; the
-  // annotation pass is O(E), the same order as the statistics above.
-  if (Opts.Shards > 1)
-    shard::annotateShardStats(Stats, WithSelf.adjacency(), Opts.Shards);
   double MeasuredFeaturize = FeaturizeTimer.seconds();
   FeaturizeSpan.setArg("nodes", static_cast<double>(WithSelf.numNodes()));
   FeaturizeSpan.setArg("edges", static_cast<double>(WithSelf.numEdges()));
   FeaturizeSpan.end();
 
-  DimBinding Binding;
-  Binding.N = WithSelf.numNodes();
-  Binding.E = WithSelf.numEdges();
-  Binding.KIn = KIn;
-  Binding.KOut = KOut;
-
-  Selection Sel = selectWithStats(Binding, Stats);
-  if (Opts.Hw.isSimulated()) {
-    // On a GPU the featurizer is a couple of O(E) passes.
-    PrimitiveDesc Desc{PrimitiveKind::EdgeElementwise, Binding.N, 0, 0,
-                       Binding.E};
-    Sel.FeaturizeSeconds = 2.0 * Opts.Hw.estimateSeconds(Desc, &Stats);
-  } else {
-    Sel.FeaturizeSeconds = MeasuredFeaturize;
-  }
+  Selection Sel = select(WithSelf.adjacency(), WithSelf.stats(), KIn, KOut);
+  if (!Opts.Hw.isSimulated())
+    Sel.FeaturizeSeconds += MeasuredFeaturize;
   return Sel;
 }
 

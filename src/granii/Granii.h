@@ -115,12 +115,15 @@ public:
   const PruneStats &pruneStats() const { return Stats; }
 
   /// Online stage: pick the cheapest promoted candidate for this input.
+  /// Builds the self-loop adjacency and its statistics (featurize time),
+  /// then selects through the overload below.
   Selection select(const Graph &G, int64_t KIn, int64_t KOut) const;
 
-  /// Same, from a prebuilt binding + stats (used when the adjacency has
-  /// already been augmented with self loops).
-  Selection selectWithStats(const DimBinding &Binding,
-                            const GraphStats &GraphStats) const;
+  /// Same, from an already built self-loop adjacency \p AdjSelf and its
+  /// statistics (e.g. LayerParams::AdjSelf and LayerParams::Stats): stamps
+  /// the shard features, binds the dimensions and prices the candidates.
+  Selection select(const CsrMatrix &AdjSelf, const GraphStats &Stats,
+                   int64_t KIn, int64_t KOut) const;
 
   /// Executes the selected plan once (forward, or forward+backward)
   /// against a workspace cached per (plan, mode): the first execution of a

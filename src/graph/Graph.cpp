@@ -4,7 +4,6 @@
 
 #include "graph/Reorder.h"
 #include "support/Stats.h"
-#include "tensor/CooMatrix.h"
 
 #include <algorithm>
 #include <cmath>
@@ -18,19 +17,29 @@ Graph::Graph(std::string Name, CsrMatrix Adjacency)
 }
 
 Graph Graph::withSelfLoops() const {
-  CooMatrix Coo(Adj.rows(), Adj.cols());
+  // Rows are sorted and unique (the constructor verified them), so one
+  // pass that slots the diagonal into each row's column order builds the
+  // same pattern a (row, col) sort of the merged entries would.
   const auto &Offsets = Adj.rowOffsets();
   const auto &Cols = Adj.colIndices();
-  for (int64_t R = 0; R < Adj.rows(); ++R) {
-    Coo.add(R, R);
-    for (int64_t K = Offsets[static_cast<size_t>(R)];
-         K < Offsets[static_cast<size_t>(R) + 1]; ++K) {
-      int32_t C = Cols[static_cast<size_t>(K)];
-      if (C != R)
-        Coo.add(R, C);
-    }
+  const int64_t N = Adj.rows();
+  std::vector<int64_t> NewOffsets(static_cast<size_t>(N) + 1, 0);
+  std::vector<int32_t> NewCols;
+  NewCols.reserve(Cols.size() + static_cast<size_t>(N));
+  for (int64_t R = 0; R < N; ++R) {
+    const auto Begin = Cols.begin() + Offsets[static_cast<size_t>(R)];
+    const auto End = Cols.begin() + Offsets[static_cast<size_t>(R) + 1];
+    const auto Diag = std::lower_bound(Begin, End, static_cast<int32_t>(R));
+    NewCols.insert(NewCols.end(), Begin, Diag);
+    NewCols.push_back(static_cast<int32_t>(R));
+    NewCols.insert(NewCols.end(),
+                   Diag != End && *Diag == R ? Diag + 1 : Diag, End);
+    NewOffsets[static_cast<size_t>(R) + 1] =
+        static_cast<int64_t>(NewCols.size());
   }
-  return Graph(GraphName + "+self", Coo.toCsr(/*Unweighted=*/true));
+  return Graph(GraphName + "+self",
+               CsrMatrix(N, Adj.cols(), std::move(NewOffsets),
+                         std::move(NewCols), {}));
 }
 
 bool Graph::isSymmetric() const {

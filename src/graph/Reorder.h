@@ -10,7 +10,8 @@
 ///
 /// Two orderings are provided:
 ///  - reverse Cuthill-McKee (bandwidth-minimizing BFS ordering; clusters
-///    each row's neighborhood, which is what the column-tiled SpMM wants),
+///    each row's neighborhood, so consecutive SpMM rows gather nearby
+///    feature rows),
 ///  - degree-descending (packs the hub rows of skewed graphs first so
 ///    their frequently re-gathered feature rows stay hot in cache).
 ///

@@ -36,7 +36,6 @@ DeviceParams DeviceParams::cpu() {
   P.AtomicCoef = 0.0; // Row-exclusive increments do not contend.
   P.IrregularityCoef = 0.15;
   P.NumCores = ThreadPool::get().numThreads();
-  P.L2CacheBytes = int64_t{1} << 20; // per-core Xeon-class L2
   return P;
 }
 
@@ -55,7 +54,6 @@ DeviceParams DeviceParams::a100() {
   // bins receive many edges (dense graphs).
   P.AtomicCoef = 1.2;
   P.IrregularityCoef = 0.5;
-  P.L2CacheBytes = int64_t{40} << 20; // 40 MB device L2
   return P;
 }
 
@@ -71,7 +69,6 @@ DeviceParams DeviceParams::h100() {
   P.SaturationMflops = 3.0;
   P.AtomicCoef = 0.05; // Much-improved atomics.
   P.IrregularityCoef = 0.35;
-  P.L2CacheBytes = int64_t{50} << 20; // 50 MB device L2
   return P;
 }
 
@@ -103,24 +100,6 @@ double granii::sparseFormatCostFactor(SparseFormat Format,
     return 1.0;
   }
   return 1.0;
-}
-
-int64_t HardwareModel::spmmColumnTile(int64_t DenseCols,
-                                      double AvgRowSpan) const {
-  if (DenseCols <= 8)
-    return DenseCols;
-  double SpanRows = std::max(1.0, AvgRowSpan);
-  double Budget = static_cast<double>(Params.L2CacheBytes) / 2.0;
-  double MaxCols = Budget / (SpanRows * static_cast<double>(sizeof(float)));
-  if (MaxCols >= static_cast<double>(DenseCols))
-    return DenseCols;
-  int64_t Tile = static_cast<int64_t>(MaxCols / 8.0) * 8;
-  // Every tile pass re-walks the CSR pattern (offsets + column indices), so
-  // a DenseCols/Tile-pass sweep pays that traffic DenseCols/Tile times.
-  // Below 32 columns per pass the re-traversal outweighs any locality win
-  // (measured: tile 8-16 on a 300k-edge R-MAT halves SpMM throughput), so
-  // rows whose spans are that large run untiled instead.
-  return Tile < 32 ? DenseCols : Tile;
 }
 
 double HardwareModel::estimateSeconds(const PrimitiveDesc &Desc,

@@ -51,10 +51,6 @@ struct DeviceParams {
   /// 1 + (NumCores-1)*ParallelEfficiency; bandwidth is not scaled — the
   /// memory-bound side is shared across cores.
   double ParallelEfficiency = 0.85;
-  /// Last-level-cache capacity one kernel's gather working set should fit
-  /// in (per-core L2 on the CPU, device L2 on the GPUs); drives the
-  /// column-tile width of the cache-blocked SpMM/SDDMM.
-  int64_t L2CacheBytes = int64_t{1} << 20;
 
   /// Parameter presets for the paper's three testbeds.
   static DeviceParams cpu();
@@ -92,15 +88,6 @@ public:
   /// null for primitives whose cost does not depend on sparse structure.
   double estimateSeconds(const PrimitiveDesc &Desc,
                          const GraphStats *Stats) const;
-
-  /// Column-tile width for the cache-blocked SpMM/SDDMM over a
-  /// \p DenseCols-wide dense operand: the widest multiple of 8 such that
-  /// \p AvgRowSpan gathered operand rows of one tile fit in half the L2
-  /// (the rest is left to the CSR stream and output rows). Returns
-  /// \p DenseCols — i.e. no blocking — when the full-width working set
-  /// already fits, which is why reordering (smaller spans) and tiling
-  /// compose: tighter spans need fewer, wider tiles.
-  int64_t spmmColumnTile(int64_t DenseCols, double AvgRowSpan) const;
 
   /// The three paper platforms, in the order {H100, A100, CPU} used by
   /// Table III. CPU is Measured; the GPUs are Simulated.

@@ -59,11 +59,6 @@ struct SimdOps {
   IsaLevel Level = IsaLevel::Scalar;
   const char *Name = "scalar";
 
-  /// Feature-dimension group size of the sddmm dot-product reduction (the
-  /// fold order that fixes its result bits at this level); 1 for the scalar
-  /// table.
-  int64_t ColumnQuantum = 1;
-
   /// Measured throughput of this level relative to the scalar path on the
   /// compute-bound dense (packed GEMM) and memory-bound sparse (g-SpMM)
   /// kernels. HardwareModel::DeviceParams::cpu() multiplies its base
@@ -92,12 +87,12 @@ struct SimdOps {
                            int64_t NOut, int64_t RowBegin, int64_t RowEnd) =
       nullptr;
 
-  /// Fused sum-reduction g-SpMM over CSR rows [RowBegin, RowEnd) restricted
-  /// to the column tile [C0, C1). \p Vals is null for unweighted matrices;
-  /// \p Mean rescales each row by 1/degree after accumulation.
+  /// Fused sum-reduction g-SpMM over CSR rows [RowBegin, RowEnd) and the
+  /// first \p Width feature columns. \p Vals is null for unweighted
+  /// matrices; \p Mean rescales each row by 1/degree after accumulation.
   void (*SpmmRowRange)(const int64_t *Offsets, const int32_t *Cols,
                        const float *Vals, const float *B, int64_t Ldb,
-                       float *Dst, int64_t LdDst, int64_t C0, int64_t C1,
+                       float *Dst, int64_t LdDst, int64_t Width,
                        SpmmCombine Combine, bool Mean, int64_t RowBegin,
                        int64_t RowEnd) = nullptr;
 

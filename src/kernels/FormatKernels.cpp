@@ -104,8 +104,8 @@ void kernels::spmmSellInto(const SellMatrix &A, std::span<const float> Vals,
         const int64_t LocalOffsets[2] = {0, A.rowNnz(R)};
         Ops.SpmmRowRange(LocalOffsets, A.rowColsPtr(R),
                          ValsPtr ? ValsPtr + Offsets[R] : nullptr, B.data(),
-                         NCols, Dst.rowPtr(R), NCols, 0, NCols, Combine, Mean,
-                         0, 1);
+                         NCols, Dst.rowPtr(R), NCols, NCols, Combine, Mean, 0,
+                         1);
       }
     });
     return;

@@ -261,7 +261,7 @@ void kernels::spmmInto(const CsrMatrix &A, const DenseMatrix &B,
     const bool Mean = S.Reduce == ReduceOpKind::Mean;
     parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
       Ops.SpmmRowRange(Offsets.data(), Cols.data(), ValsPtr, B.data(), NCols,
-                       Dst.data(), NCols, 0, NCols, Combine, Mean, RowBegin,
+                       Dst.data(), NCols, NCols, Combine, Mean, RowBegin,
                        RowEnd);
     });
     return;
@@ -288,44 +288,6 @@ void kernels::spmmInto(const CsrMatrix &A, const DenseMatrix &B,
   });
 }
 // granii-noalloc-end
-
-void kernels::spmmTiledInto(const CsrMatrix &A, const DenseMatrix &B,
-                            const Semiring &S, int64_t TileCols,
-                            DenseMatrix &Dst) {
-  const int64_t NCols = B.cols();
-  const bool SumLike =
-      S.Reduce == ReduceOpKind::Sum || S.Reduce == ReduceOpKind::Mean;
-  // Tiling pays only on the fused sum path; degenerate tiles mean no
-  // blocking. Either way the untiled kernel computes the identical result.
-  if (!SumLike || TileCols <= 0 || TileCols >= NCols) {
-    spmmInto(A, B, S, Dst);
-    return;
-  }
-  GRANII_CHECK(A.cols() == B.rows(), "spmm dimension mismatch");
-  checkDenseDst(Dst, A.rows(), B.cols(), "spmm_tiled");
-  const auto &Offsets = A.rowOffsets();
-  const auto &Cols = A.colIndices();
-  const auto &Vals = A.values();
-  const SimdOps &Ops = simdOps();
-  const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
-  const SpmmCombine Combine = spmmCombineFor(S);
-  const bool Mean = S.Reduce == ReduceOpKind::Mean;
-
-  // Tile loop outer, row loop inner: consecutive rows of a block re-gather
-  // overlapping neighbor sets (especially after RCM reordering), and one
-  // tile of those B rows fits in L2. Each output element's accumulation is
-  // per-element exact in every table (vector lanes and scalar tails agree
-  // bit for bit), so the result is bitwise identical to the untiled kernel
-  // at any tile width and thread count within one ISA level.
-  parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-    for (int64_t C0 = 0; C0 < NCols; C0 += TileCols) {
-      const int64_t C1 = std::min(C0 + TileCols, NCols);
-      Ops.SpmmRowRange(Offsets.data(), Cols.data(), ValsPtr, B.data(), NCols,
-                       Dst.data(), NCols, C0, C1, Combine, Mean, RowBegin,
-                       RowEnd);
-    }
-  });
-}
 
 // granii-noalloc-begin: SDDMM scores every masked edge each layer; the dot
 // loops write straight into the caller's value span.

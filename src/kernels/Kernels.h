@@ -100,16 +100,6 @@ void reluBackwardInto(const DenseMatrix &Pre, const DenseMatrix &Grad,
 void spmmInto(const CsrMatrix &A, const DenseMatrix &B, const Semiring &S,
               DenseMatrix &Dst);
 
-/// Cache-blocked SpMM: processes \p B in column tiles of \p TileCols so the
-/// gathered B rows of one tile stay resident in L2 across consecutive CSR
-/// rows (HardwareModel::spmmColumnTile derives the width; graph reordering
-/// shrinks the per-row gather span, letting wider tiles fit). Per output
-/// element the neighbor accumulation order is unchanged, so the result is
-/// bitwise identical to spmmInto. TileCols <= 0 or >= B.cols(), and
-/// non-sum reductions, fall back to the untiled kernel.
-void spmmTiledInto(const CsrMatrix &A, const DenseMatrix &B, const Semiring &S,
-                   int64_t TileCols, DenseMatrix &Dst);
-
 /// Generalized SDDMM into \p Out, which must have Mask.nnz() entries:
 /// per-edge values at the mask's nonzeros, out_ij = combine over k of
 /// U[i,k] and V[j,k], reduced by \p S.Reduce (dot product for plus-times).

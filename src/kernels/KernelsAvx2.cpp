@@ -22,7 +22,7 @@ struct Avx2Traits {
   using Vec = __m256;
   static constexpr int64_t Width = 8;
   /// Dot-product group size; shared with the AVX-512 table so both SIMD
-  /// levels fold the sddmm reduction identically (ColumnQuantum 8).
+  /// levels fold the sddmm reduction identically.
   static constexpr int64_t DotGroup = 8;
 
   static Vec load(const float *P) { return _mm256_loadu_ps(P); }

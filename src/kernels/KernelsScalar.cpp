@@ -70,32 +70,32 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
                   const float *Vals, const float *B, int64_t Ldb, float *Dst,
-                  int64_t LdDst, int64_t C0, int64_t C1, SpmmCombine Combine,
+                  int64_t LdDst, int64_t Width, SpmmCombine Combine,
                   bool Mean, int64_t RowBegin, int64_t RowEnd) {
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     float *Out = Dst + R * LdDst;
     const int64_t Begin = Offsets[R];
     const int64_t End = Offsets[R + 1];
-    std::fill(Out + C0, Out + C1, 0.0f);
+    std::fill(Out, Out + Width, 0.0f);
     for (int64_t K = Begin; K < End; ++K) {
       const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
       if (Combine == SpmmCombine::CopyRhs) {
-        for (int64_t J = C0; J < C1; ++J)
+        for (int64_t J = 0; J < Width; ++J)
           Out[J] += Src[J];
       } else {
         float EdgeVal = Vals ? Vals[K] : 1.0f;
         if (Combine == SpmmCombine::Mul) {
-          for (int64_t J = C0; J < C1; ++J)
+          for (int64_t J = 0; J < Width; ++J)
             Out[J] += EdgeVal * Src[J];
         } else { // Add combine.
-          for (int64_t J = C0; J < C1; ++J)
+          for (int64_t J = 0; J < Width; ++J)
             Out[J] += EdgeVal + Src[J];
         }
       }
     }
     if (Mean && End > Begin) {
       float Inv = 1.0f / static_cast<float>(End - Begin);
-      for (int64_t J = C0; J < C1; ++J)
+      for (int64_t J = 0; J < Width; ++J)
         Out[J] *= Inv;
     }
   }
@@ -146,7 +146,6 @@ SimdOps makeScalarOps() {
   SimdOps Ops;
   Ops.Level = IsaLevel::Scalar;
   Ops.Name = "scalar";
-  Ops.ColumnQuantum = 1;
   Ops.DenseThroughputScale = 1.0;
   Ops.SparseThroughputScale = 1.0;
   Ops.GemmRowRange = &gemmRowRange;

@@ -16,9 +16,8 @@
 /// like a vector FMA lane. Row/element partitions therefore cannot change
 /// any result bit, preserving the 1-vs-N-thread contract. The sddmm dot
 /// product is the one reduction whose order depends on position: features
-/// are folded in groups of Traits::DotGroup (reported as
-/// SimdOps::ColumnQuantum), which is why its results differ across levels
-/// whose group sizes differ.
+/// are folded in groups of Traits::DotGroup. The AVX2 and AVX-512 traits
+/// share one group size, so their sddmm results agree bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -217,13 +216,12 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 //===----------------------------------------------------------------------===//
 
 /// Every column's accumulation is per-element exact (add/fma lanes match
-/// their scalar-tail counterparts bit for bit), so any column tile [C0, C1)
-/// composes to the untiled result bitwise — the same property the scalar
-/// kernel documents.
+/// their scalar-tail counterparts bit for bit), so a row's result does not
+/// depend on how the row range is partitioned.
 template <class T>
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
                   const float *Vals, const float *B, int64_t Ldb, float *Dst,
-                  int64_t LdDst, int64_t C0, int64_t C1, SpmmCombine Combine,
+                  int64_t LdDst, int64_t Width, SpmmCombine Combine,
                   bool Mean, int64_t RowBegin, int64_t RowEnd) {
   using Vec = typename T::Vec;
   constexpr int64_t W = T::Width;
@@ -233,42 +231,42 @@ void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
     float *Out = Dst + R * LdDst;
     const int64_t Begin = Offsets[R];
     const int64_t End = Offsets[R + 1];
-    std::fill(Out + C0, Out + C1, 0.0f);
+    std::fill(Out, Out + Width, 0.0f);
     for (int64_t K = Begin; K < End; ++K) {
       const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
       if (PlainSum) {
-        int64_t J = C0;
-        for (; J + W <= C1; J += W)
+        int64_t J = 0;
+        for (; J + W <= Width; J += W)
           T::store(Out + J, T::add(T::load(Out + J), T::load(Src + J)));
-        for (; J < C1; ++J)
+        for (; J < Width; ++J)
           Out[J] += Src[J];
       } else if (Combine == SpmmCombine::Mul) {
         const float Edge = Vals[K];
         const Vec EdgeV = T::set1(Edge);
-        int64_t J = C0;
-        for (; J + W <= C1; J += W)
+        int64_t J = 0;
+        for (; J + W <= Width; J += W)
           T::store(Out + J,
                    T::fma(EdgeV, T::load(Src + J), T::load(Out + J)));
-        for (; J < C1; ++J)
+        for (; J < Width; ++J)
           Out[J] = std::fma(Edge, Src[J], Out[J]);
       } else { // Add combine.
         const float Edge = Vals ? Vals[K] : 1.0f;
         const Vec EdgeV = T::set1(Edge);
-        int64_t J = C0;
-        for (; J + W <= C1; J += W)
+        int64_t J = 0;
+        for (; J + W <= Width; J += W)
           T::store(Out + J,
                    T::add(T::add(EdgeV, T::load(Src + J)), T::load(Out + J)));
-        for (; J < C1; ++J)
+        for (; J < Width; ++J)
           Out[J] = (Edge + Src[J]) + Out[J];
       }
     }
     if (Mean && End > Begin) {
       const float Inv = 1.0f / static_cast<float>(End - Begin);
       const Vec InvV = T::set1(Inv);
-      int64_t J = C0;
-      for (; J + W <= C1; J += W)
+      int64_t J = 0;
+      for (; J + W <= Width; J += W)
         T::store(Out + J, T::mul(InvV, T::load(Out + J)));
-      for (; J < C1; ++J)
+      for (; J < Width; ++J)
         Out[J] = Inv * Out[J];
     }
   }
@@ -368,7 +366,6 @@ template <class T> SimdOps makeSimdOps(IsaLevel Level, const char *Name) {
   SimdOps Ops;
   Ops.Level = Level;
   Ops.Name = Name;
-  Ops.ColumnQuantum = T::DotGroup;
   Ops.GemmRowRange = &gemmRowRange<T>;
   Ops.GemmTLhsRowRange = &gemmTLhsRowRange<T>;
   Ops.GemmTRhsRowRange = &gemmTRhsRowRange<T>;

@@ -234,22 +234,21 @@ Semiring semiringOf(StepOp Op) {
 }
 
 /// The sparse operand of every aggregation step of one run, resolved once
-/// before the first step from the workspace's format and shard state: CSR
-/// (column-tiled), SELL (which also stores ELL, as one slice), HYB, or the
-/// shard pipeline. Every sparse value a plan produces carries the bound
-/// adjacency's pattern (PlanWorkspace::sparseFor copies it), which is
-/// exactly what the cached structures were built from, so the shape/nnz
-/// guard against the adjacency is checked here once rather than per step;
-/// edge values always come from the step's own CSR-ordered operand. Every
-/// case preserves CSR neighbor order and shares the dispatched inner
-/// loops, so they are all bitwise identical.
+/// before the first step from the workspace's format and shard state: CSR,
+/// SELL (which also stores ELL, as one slice), HYB, or the shard pipeline.
+/// Every sparse value a plan produces carries the bound adjacency's pattern
+/// (PlanWorkspace::sparseFor copies it), which is exactly what the cached
+/// structures were built from, so the shape/nnz guard against the
+/// adjacency is checked here once rather than per step; edge values always
+/// come from the step's own CSR-ordered operand. Every case preserves CSR
+/// neighbor order and shares the dispatched inner loops, so they are all
+/// bitwise identical.
 class SparseOperand {
 public:
-  SparseOperand(const HardwareModel &Hw, const CsrMatrix &Adj,
-                const GraphStats &Stats, PlanWorkspace &Ws,
-                SparseFormat Format, bool Sharded)
-      : Hw(Hw), Adj(Adj), Stats(Stats), Ws(Ws), FS(Ws.formatState()),
-        SS(Ws.shardState()), Format(Format) {
+  SparseOperand(const CsrMatrix &Adj, PlanWorkspace &Ws, SparseFormat Format,
+                bool Sharded)
+      : Adj(Adj), Ws(Ws), FS(Ws.formatState()), SS(Ws.shardState()),
+        Format(Format) {
     auto Covers = [&](const auto &M) {
       return M.rows() == Adj.rows() && M.cols() == Adj.cols() &&
              M.nnz() == Adj.nnz();
@@ -264,7 +263,7 @@ public:
   }
 
   /// The format the forward SpMM and the backward SDDMM walk (CSR for the
-  /// tiled and the sharded cases).
+  /// sharded case).
   SparseFormat format() const {
     return Which == Kind::Sell || Which == Kind::Hyb ? Format
                                                      : SparseFormat::Csr;
@@ -274,13 +273,9 @@ public:
   void spmmInto(const CsrMatrix &A, const DenseMatrix &B, const Semiring &S,
                 DenseMatrix &Dst) const {
     switch (Which) {
-    case Kind::Csr: {
-      // Tiled form is bitwise identical to spmmInto; the tile width only
-      // changes the memory schedule (HardwareModel::spmmColumnTile).
-      const int64_t Tile = Hw.spmmColumnTile(B.cols(), Stats.AvgRowSpan);
-      kernels::spmmTiledInto(A, B, S, Tile, Dst);
+    case Kind::Csr:
+      kernels::spmmInto(A, B, S, Dst);
       return;
-    }
     case Kind::Sell:
       kernels::spmmSellInto(FS.Sell, A.values(), B, S, Dst);
       return;
@@ -348,9 +343,7 @@ public:
 private:
   enum class Kind { Csr, Sell, Hyb, Sharded };
 
-  const HardwareModel &Hw;
   const CsrMatrix &Adj;
-  const GraphStats &Stats;
   PlanWorkspace &Ws;
   detail::FormatState &FS;
   detail::ShardState &SS;
@@ -1226,7 +1219,7 @@ void Executor::execute(const CompositionPlan &Plan, const LayerInputs &Inputs,
     SetupSeconds +=
         shardSetup(*this, Ws.shardState(), Adj, *BoundStats, Sharding);
   Ws.configure(Plan, Bound->binding(&Plan), Training);
-  SparseOperand Sparse(Hw, Adj, *BoundStats, Ws, Format, Sharding.active());
+  SparseOperand Sparse(Adj, Ws, Format, Sharding.active());
   PlanInterpreter Interp(*this, Plan, *Bound, *BoundStats, Ws, Sparse);
   Interp.forward(Result);
   if (Training) {

@@ -77,36 +77,6 @@ int resolvedShardCount(const JobRequest &Req, const Graph &G) {
   return Req.Shards > 1 ? static_cast<int>(Req.Shards) : 0;
 }
 
-/// Sharded execution only runs over the CSR forward aggregation format
-/// (docs/SHARDING.md); reject the combination before any compilation work.
-bool validShardRequest(const JobRequest &Req, std::string *Error) {
-  if (Req.Shards == 0)
-    return true;
-  std::string Format = Req.Format.empty() ? "csr" : Req.Format;
-  if (Format == "csr")
-    return true;
-  if (Error)
-    *Error = "sharded execution requires the csr format (got '" + Format +
-             "')";
-  return false;
-}
-
-/// Parses and validates a request's format field. CSC is rejected here:
-/// the executor always uses it internally for the backward transposed
-/// SpMM, but it is not a selectable forward aggregation layout.
-std::optional<SparseFormat> requestFormat(const JobRequest &Req,
-                                          std::string *Error) {
-  std::optional<SparseFormat> Format =
-      parseSparseFormat(Req.Format.empty() ? "csr" : Req.Format);
-  if (!Format || *Format == SparseFormat::Csc) {
-    if (Error)
-      *Error = "unknown or unsupported sparse format '" + Req.Format +
-               "' (try csr, ell, sell, hyb, auto)";
-    return std::nullopt;
-  }
-  return Format;
-}
-
 /// loadGraphSpec formats its message as a ready-to-print CLI diagnostic
 /// ("error: ...\n"); over the wire the bare message is wanted.
 std::string stripDiagDecoration(std::string Msg) {
@@ -115,6 +85,63 @@ std::string stripDiagDecoration(std::string Msg) {
   if (Msg.rfind("error: ", 0) == 0)
     Msg.erase(0, 7);
   return Msg;
+}
+
+/// A request that passed validation, with its fields parsed and its graph
+/// loaded.
+struct ValidRequest {
+  ReorderPolicy Reorder;
+  SparseFormat Format;
+  GnnModel Model;
+  Graph G;
+};
+
+/// The checks compile and run share, cheapest first: embedding sizes,
+/// reorder policy, format, shard/format combination, DSL parse, graph load.
+/// nullopt, with \p Error set, at the first that fails.
+std::optional<ValidRequest> validateRequest(const JobRequest &Req,
+                                            std::string &Error) {
+  if (Req.KIn < 1 || Req.KOut < 1) {
+    Error = "embedding sizes must be >= 1";
+    return std::nullopt;
+  }
+  std::optional<ReorderPolicy> Reorder = parseReorderPolicy(Req.Reorder);
+  if (!Reorder) {
+    Error = "unknown reorder policy '" + Req.Reorder +
+            "' (try none, rcm, degree)";
+    return std::nullopt;
+  }
+  // CSC is rejected: the executor always uses it internally for the
+  // backward transposed SpMM, but it is not a selectable forward layout.
+  std::optional<SparseFormat> Format =
+      parseSparseFormat(Req.Format.empty() ? "csr" : Req.Format);
+  if (!Format || *Format == SparseFormat::Csc) {
+    Error = "unknown or unsupported sparse format '" + Req.Format +
+            "' (try csr, ell, sell, hyb, auto)";
+    return std::nullopt;
+  }
+  // Sharded execution only runs over the CSR forward aggregation format
+  // (docs/SHARDING.md).
+  if (Req.Shards != 0 && *Format != SparseFormat::Csr) {
+    Error = "sharded execution requires the csr format (got '" + Req.Format +
+            "')";
+    return std::nullopt;
+  }
+  std::string ParseError;
+  std::optional<ParsedModel> Parsed =
+      parseModelDsl(Req.ModelText, &ParseError);
+  if (!Parsed) {
+    Error = "model parse failed: " + ParseError;
+    return std::nullopt;
+  }
+  std::string GraphError;
+  std::optional<Graph> G = loadGraphSpec(Req.GraphSpec, &GraphError);
+  if (!G) {
+    Error = stripDiagDecoration(GraphError);
+    return std::nullopt;
+  }
+  return ValidRequest{*Reorder, *Format, wrapParsedModel(*Parsed),
+                      std::move(*G)};
 }
 
 } // namespace
@@ -183,6 +210,7 @@ Engine::Engine(EngineOptions OptsIn)
       CompileCost(Opts.Hw) {}
 
 PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
+                                      SparseFormat Format,
                                       const JobRequest &Req,
                                       CompileResponse &Resp) {
   Timer CompileTimer;
@@ -213,8 +241,7 @@ PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
   OptOpts.Hw = Opts.Hw;
   OptOpts.Iterations = Opts.Iterations;
   OptOpts.Verify = Opts.Verify;
-  if (std::optional<SparseFormat> Format = requestFormat(Req, nullptr))
-    OptOpts.Format = *Format;
+  OptOpts.Format = Format;
   OptOpts.Shards = Key.Shards;
   Optimizer Compiled(Model, OptOpts, &CompileCost);
   auto Value = std::make_shared<const std::vector<CompositionPlan>>(
@@ -232,40 +259,13 @@ PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
 
 CompileResponse Engine::compile(const JobRequest &Req) {
   CompileResponse Resp;
-  if (Req.KIn < 1 || Req.KOut < 1) {
+  std::optional<ValidRequest> Valid = validateRequest(Req, Resp.Status.Error);
+  if (!Valid) {
     Resp.Status.Ok = false;
-    Resp.Status.Error = "embedding sizes must be >= 1";
     return Resp;
   }
-  std::string FormatError;
-  if (!requestFormat(Req, &FormatError)) {
-    Resp.Status.Ok = false;
-    Resp.Status.Error = FormatError;
-    return Resp;
-  }
-  if (!validShardRequest(Req, &FormatError)) {
-    Resp.Status.Ok = false;
-    Resp.Status.Error = FormatError;
-    return Resp;
-  }
-  std::string ParseError;
-  std::optional<ParsedModel> Parsed =
-      parseModelDsl(Req.ModelText, &ParseError);
-  if (!Parsed) {
-    Resp.Status.Ok = false;
-    Resp.Status.Error = "model parse failed: " + ParseError;
-    return Resp;
-  }
-  std::string GraphError;
-  std::optional<Graph> G = loadGraphSpec(Req.GraphSpec, &GraphError);
-  if (!G) {
-    Resp.Status.Ok = false;
-    Resp.Status.Error = stripDiagDecoration(GraphError);
-    return Resp;
-  }
-  GnnModel Model = wrapParsedModel(*Parsed);
   MutexLock Lock(M);
-  resolvePlans(Model, *G, Req, Resp);
+  resolvePlans(Valid->Model, Valid->G, Valid->Format, Req, Resp);
   return Resp;
 }
 
@@ -295,52 +295,29 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   // Engine-level lock held throughout — enumeration is single-threaded
   // anyway, and serializing creation means concurrent identical requests
   // compile once instead of racing.
-  if (Req.KIn < 1 || Req.KOut < 1) {
-    Error = "embedding sizes must be >= 1";
+  std::optional<ValidRequest> Valid = validateRequest(Req, Error);
+  if (!Valid)
     return nullptr;
-  }
-  std::optional<ReorderPolicy> Reorder = parseReorderPolicy(Req.Reorder);
-  if (!Reorder) {
-    Error = "unknown reorder policy '" + Req.Reorder +
-            "' (try none, rcm, degree)";
-    return nullptr;
-  }
-  std::optional<SparseFormat> Format = requestFormat(Req, &Error);
-  if (!Format)
-    return nullptr;
-  if (!validShardRequest(Req, &Error))
-    return nullptr;
-  std::string ParseError;
-  std::optional<ParsedModel> Parsed =
-      parseModelDsl(Req.ModelText, &ParseError);
-  if (!Parsed) {
-    Error = "model parse failed: " + ParseError;
-    return nullptr;
-  }
-  std::string GraphError;
-  std::optional<Graph> G = loadGraphSpec(Req.GraphSpec, &GraphError);
-  if (!G) {
-    Error = stripDiagDecoration(GraphError);
-    return nullptr;
-  }
+  const Graph &G = Valid->G;
 
   auto S = std::shared_ptr<Session>(new Session());
   S->Key = Key;
-  S->Model = wrapParsedModel(*Parsed);
+  S->Model = std::move(Valid->Model);
   S->Options.Hw = Opts.Hw;
   S->Options.Iterations = Opts.Iterations;
-  S->Options.Reorder = *Reorder;
-  S->Options.Format = *Format;
+  S->Options.Reorder = Valid->Reorder;
+  S->Options.Format = Valid->Format;
   S->Options.Verify = Opts.Verify;
   // Resolved against the loaded graph (auto may legitimately come out 0);
   // set before Optimizer construction so select() prices shard features.
-  S->Options.Shards = resolvedShardCount(Req, *G);
+  S->Options.Shards = resolvedShardCount(Req, G);
   S->Options.ShardStoreDir = Opts.ShardStoreDir;
   S->Training = Req.Training;
   S->Cost = AnalyticCostModel(Opts.Hw);
 
   CompileResponse CompileInfo;
-  PlanCache::Plans Compiled = resolvePlans(S->Model, *G, Req, CompileInfo);
+  PlanCache::Plans Compiled =
+      resolvePlans(S->Model, G, Valid->Format, Req, CompileInfo);
   S->PlanCacheHit = CompileInfo.PlanCacheHit;
   if (Compile)
     *Compile = CompileInfo;
@@ -348,8 +325,9 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   // copy is a few plan graphs — negligible next to enumeration).
   S->Opt.emplace(Optimizer::fromCompiled(S->Model, S->Options, &S->Cost,
                                          *Compiled));
-  S->Params = makeLayerParams(S->Model, *G, Req.KIn, Req.KOut, Req.Seed);
-  S->Sel = S->Opt->select(*G, Req.KIn, Req.KOut);
+  S->Params = makeLayerParams(S->Model, G, Req.KIn, Req.KOut, Req.Seed);
+  S->Sel =
+      S->Opt->select(S->Params.AdjSelf, S->Params.Stats, Req.KIn, Req.KOut);
   {
     // The executor lives behind Session::RunMutex; hold it for the
     // creation write so the lock covers the member's whole lifetime (no

@@ -113,7 +113,7 @@ void granii::shard::shardedSpmmInto(const ShardSet &Set, ShardStaging &Stage,
                  R) *
                     K;
             Ops.SpmmRowRange(Blk.RowOffsets.data(), Blk.LocalCols.data(),
-                             RowVals, LB.data(), K, DstBase, K, 0, K, Combine,
+                             RowVals, LB.data(), K, DstBase, K, K, Combine,
                              Mean, R, R + 1);
           }
           return;

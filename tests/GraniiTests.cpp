@@ -112,6 +112,22 @@ TEST(Optimizer, ExecuteRunsChosenPlan) {
   EXPECT_EQ(R.BackwardSeconds, 0.0);
   ExecResult T = Opt.execute(Sel, Params, /*Training=*/true);
   EXPECT_GT(T.BackwardSeconds, 0.0);
+
+  // Selecting from the parameters' prebuilt self-loop adjacency prices the
+  // same candidates as selecting from the graph, whole-graph and sharded.
+  for (int Shards : {0, 4}) {
+    SCOPED_TRACE("shards = " + std::to_string(Shards));
+    OptimizerOptions Opts;
+    Opts.Hw = HardwareModel::byName("cpu");
+    Opts.Format = Shards ? SparseFormat::Csr : SparseFormat::Auto;
+    Opts.Shards = Shards;
+    Optimizer Priced(Opt.model(), Opts, &analyticFor("cpu"));
+    Selection FromGraph = Priced.select(G, 16, 8);
+    Selection FromParams = Priced.select(Params.AdjSelf, Params.Stats, 16, 8);
+    EXPECT_EQ(FromParams.PlanIndex, FromGraph.PlanIndex);
+    EXPECT_EQ(FromParams.Format, FromGraph.Format);
+    EXPECT_EQ(FromParams.PredictedSeconds, FromGraph.PredictedSeconds);
+  }
 }
 
 TEST(Optimizer, OverheadFieldsPopulated) {

@@ -40,6 +40,57 @@ TEST(Graph, SelfLoopsAddNPerNode) {
   // Idempotent on already-present self loops.
   Graph S2 = S.withSelfLoops();
   EXPECT_EQ(S2.numEdges(), S.numEdges());
+
+  // The pattern equals a reference built by sorting every (row, col) entry
+  // plus the diagonal through a COO matrix, and so do the statistics.
+  auto Reference = [](const Graph &In) {
+    const CsrMatrix &A = In.adjacency();
+    CooMatrix Coo(A.rows(), A.cols());
+    for (int64_t R = 0; R < A.rows(); ++R) {
+      Coo.add(R, R);
+      for (int64_t K = A.rowOffsets()[R]; K < A.rowOffsets()[R + 1]; ++K)
+        if (A.colIndices()[static_cast<size_t>(K)] != R)
+          Coo.add(R, A.colIndices()[static_cast<size_t>(K)]);
+    }
+    return Graph(In.name() + "+self", Coo.toCsr());
+  };
+  // One input already carries some self loops and an isolated node (4).
+  CooMatrix Partial(6, 6);
+  Partial.add(0, 0);
+  Partial.add(2, 2);
+  Partial.addSymmetric(0, 1);
+  Partial.addSymmetric(1, 3);
+  Partial.addSymmetric(3, 5);
+  for (const Graph &In :
+       {makeErdosRenyi(100, 300, 1), makeRmat(128, 500, 0.5, 0.2, 0.2, 2),
+        makeRoadLattice(8, 8, 0.1, 3), makeMycielskian(6),
+        makeCommunityGraph(10, 8, 0.5, 40, 4), makeStar(20), makeRing(8),
+        makeComplete(12), Graph("partial", Partial.toCsr())}) {
+    SCOPED_TRACE(In.name());
+    Graph Got = In.withSelfLoops();
+    Graph Ref = Reference(In);
+    EXPECT_EQ(Got.name(), Ref.name());
+    EXPECT_EQ(Got.adjacency().rows(), Ref.adjacency().rows());
+    EXPECT_EQ(Got.adjacency().cols(), Ref.adjacency().cols());
+    EXPECT_EQ(Got.adjacency().rowOffsets(), Ref.adjacency().rowOffsets());
+    EXPECT_EQ(Got.adjacency().colIndices(), Ref.adjacency().colIndices());
+    EXPECT_FALSE(Got.adjacency().isWeighted());
+    const GraphStats &GS = Got.stats();
+    const GraphStats &RS = Ref.stats();
+    EXPECT_EQ(GS.NumNodes, RS.NumNodes);
+    EXPECT_EQ(GS.NumEdges, RS.NumEdges);
+    EXPECT_EQ(GS.Density, RS.Density);
+    EXPECT_EQ(GS.AvgDegree, RS.AvgDegree);
+    EXPECT_EQ(GS.MaxDegree, RS.MaxDegree);
+    EXPECT_EQ(GS.DegreeStddev, RS.DegreeStddev);
+    EXPECT_EQ(GS.DegreeCv, RS.DegreeCv);
+    EXPECT_EQ(GS.DegreeGini, RS.DegreeGini);
+    EXPECT_EQ(GS.TopRowFraction, RS.TopRowFraction);
+    EXPECT_EQ(GS.AvgRowSpan, RS.AvgRowSpan);
+    EXPECT_EQ(GS.Bandwidth, RS.Bandwidth);
+    EXPECT_EQ(GS.ShardCount, RS.ShardCount);
+    EXPECT_EQ(GS.ShardEdgeCutFraction, RS.ShardEdgeCutFraction);
+  }
 }
 
 TEST(Graph, GeneratedGraphsAreSymmetric) {

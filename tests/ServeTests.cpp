@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <new>
 #include <thread>
 #include <unistd.h>
@@ -351,31 +352,36 @@ TEST(Protocol, StatsResponseRoundTrip) {
 
 TEST(Engine, RequestErrorsComeBackAsStatusNotCrashes) {
   Engine Eng(testEngineOptions());
-  {
+  // Each bad request, with a fragment its error must name. compile and run
+  // validate in one place, so both verbs reject it with the same message.
+  const std::vector<std::pair<std::function<void(JobRequest &)>,
+                              std::string>>
+      Bad = {
+          {[](JobRequest &R) { R.ModelText = "model Broken { not DSL"; },
+           "model parse failed"},
+          {[](JobRequest &R) { R.GraphSpec = "synth:nosuchgraph"; },
+           "nosuchgraph"},
+          {[](JobRequest &R) { R.Reorder = "nosuchpolicy"; },
+           "nosuchpolicy"},
+          {[](JobRequest &R) { R.KIn = 0; }, "embedding sizes"},
+          {[](JobRequest &R) { R.Format = "nosuchformat"; }, "nosuchformat"},
+          {[](JobRequest &R) {
+             R.Format = "sell";
+             R.Shards = 4;
+           },
+           "requires the csr format"},
+      };
+  for (const auto &[Mutate, Fragment] : Bad) {
+    SCOPED_TRACE(Fragment);
     JobRequest Req = smallRequest();
-    Req.ModelText = "model Broken { this is not DSL";
-    RunResponse Resp = Eng.run(Req);
-    EXPECT_FALSE(Resp.Status.Ok);
-    EXPECT_FALSE(Resp.Status.Error.empty());
-  }
-  {
-    JobRequest Req = smallRequest();
-    Req.GraphSpec = "synth:nosuchgraph";
-    RunResponse Resp = Eng.run(Req);
-    EXPECT_FALSE(Resp.Status.Ok);
-    EXPECT_NE(Resp.Status.Error.find("nosuchgraph"), std::string::npos);
-  }
-  {
-    JobRequest Req = smallRequest();
-    Req.Reorder = "nosuchpolicy";
-    RunResponse Resp = Eng.run(Req);
-    EXPECT_FALSE(Resp.Status.Ok);
-  }
-  {
-    JobRequest Req = smallRequest();
-    Req.KIn = 0;
-    RunResponse Resp = Eng.run(Req);
-    EXPECT_FALSE(Resp.Status.Ok);
+    Mutate(Req);
+    CompileResponse Compiled = Eng.compile(Req);
+    RunResponse Ran = Eng.run(Req);
+    EXPECT_FALSE(Compiled.Status.Ok);
+    EXPECT_FALSE(Ran.Status.Ok);
+    EXPECT_NE(Ran.Status.Error.find(Fragment), std::string::npos)
+        << Ran.Status.Error;
+    EXPECT_EQ(Compiled.Status.Error, Ran.Status.Error);
   }
 }
 

@@ -133,28 +133,15 @@ TEST(Dispatch, TablesAreFullyPopulated) {
     EXPECT_NE(Ops->AddRange, nullptr);
     EXPECT_NE(Ops->AxpyRange, nullptr);
     EXPECT_NE(Ops->ReluRange, nullptr);
-    EXPECT_GE(Ops->ColumnQuantum, 1);
     EXPECT_GE(Ops->DenseThroughputScale, 1.0);
     EXPECT_GE(Ops->SparseThroughputScale, 1.0);
   }
-  // The scalar table reproduces the pre-SIMD kernels: no tiling quantum,
-  // unit throughput (it is the calibration baseline).
+  // The scalar table reproduces the pre-SIMD kernels: unit throughput (it
+  // is the calibration baseline).
   const kernels::SimdOps *Scalar = kernels::simdOpsFor(IsaLevel::Scalar);
   ASSERT_NE(Scalar, nullptr);
-  EXPECT_EQ(Scalar->ColumnQuantum, 1);
   EXPECT_EQ(Scalar->DenseThroughputScale, 1.0);
   EXPECT_EQ(Scalar->SparseThroughputScale, 1.0);
-}
-
-TEST(Dispatch, SimdLevelsShareOneColumnQuantum) {
-  // Every SIMD level folds the sddmm dot product in groups of the same
-  // quantum (the AVX-512 table deliberately keeps 256-bit groups).
-  for (IsaLevel Level : kernels::supportedIsaLevels()) {
-    if (Level == IsaLevel::Scalar)
-      continue;
-    EXPECT_EQ(kernels::simdOpsFor(Level)->ColumnQuantum, 8)
-        << kernels::isaLevelName(Level);
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -285,6 +272,30 @@ TEST(CrossIsa, SddmmAgreesWithScalarLevel) {
     ASSERT_EQ(Got.size(), Ref.size());
     for (size_t I = 0; I < Ref.size(); ++I)
       EXPECT_NEAR(Got[I], Ref[I], 1e-5f) << "edge " << I;
+  }
+
+  // The AVX2 and AVX-512 tables fold the dot product in the same 8-wide
+  // groups (the AVX-512 table deliberately keeps 256-bit groups), so their
+  // results agree bit for bit at every width, tails included. Runs only on
+  // hosts that support AVX-512.
+  if (kernels::simdOpsFor(IsaLevel::Avx512) == nullptr)
+    return;
+  for (int64_t K : {7, 8, 45, 64, 100, 128}) {
+    SCOPED_TRACE("K = " + std::to_string(K));
+    DenseMatrix UK = randomDense(40, K, 34);
+    DenseMatrix VK = randomDense(40, K, 35);
+    auto SddmmK = [&] {
+      std::vector<float> Out(static_cast<size_t>(Mask.nnz()));
+      kernels::sddmmInto(Mask, UK, VK, Semiring::plusTimes(), Out);
+      return Out;
+    };
+    ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Avx2));
+    std::vector<float> Avx2 = SddmmK();
+    ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Avx512));
+    std::vector<float> Avx512 = SddmmK();
+    ASSERT_EQ(Avx512.size(), Avx2.size());
+    for (size_t I = 0; I < Avx2.size(); ++I)
+      EXPECT_EQ(Avx512[I], Avx2[I]) << "edge " << I;
   }
 }
 
