@@ -8,7 +8,6 @@
 #include "support/Stats.h"
 #include "support/Str.h"
 #include "support/ThreadPool.h"
-#include "tensor/SparseFormat.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -262,12 +261,6 @@ std::string BenchReport::toJson() const {
     Json += std::string(I == 0 ? "" : ", ") + "\"" +
             kernels::isaLevelName(Levels[I]) + "\"";
   Json += "],\n";
-  Json += "  \"formats\": [";
-  const std::vector<SparseFormat> &Formats = forwardSparseFormats();
-  for (size_t I = 0; I < Formats.size(); ++I)
-    Json += std::string(I == 0 ? "" : ", ") + "\"" +
-            sparseFormatName(Formats[I]) + "\"";
-  Json += "],\n";
   Json += "  \"benchmarks\": [";
   for (size_t I = 0; I < Records.size(); ++I) {
     const BenchRecord &R = Records[I];
@@ -279,8 +272,6 @@ std::string BenchReport::toJson() const {
     Json += "\"threads\": " + std::to_string(R.Threads) + ", ";
     if (!R.Isa.empty())
       Json += "\"isa\": \"" + jsonEscape(R.Isa) + "\", ";
-    if (!R.Format.empty())
-      Json += "\"format\": \"" + jsonEscape(R.Format) + "\", ";
     Json += "\"reorder\": \"" + jsonEscape(R.Reorder) + "\", ";
     Json += "\"repetitions\": " + std::to_string(R.Repetitions) + ", ";
     Json += "\"median_seconds\": " + jsonNumber(R.MedianSeconds) + ", ";

@@ -128,11 +128,6 @@ struct BenchRecord {
   /// level; granii-bench-diff uses it to skip (rather than flag) baseline
   /// records whose level the comparing host cannot execute.
   std::string Isa;
-  /// Sparse storage format the measurement ran under ("csr", "ell", ...).
-  /// Empty for format-agnostic records; granii-bench-diff skips baseline
-  /// records whose format the head build does not list in its "formats"
-  /// header (mirroring the ISA skip).
-  std::string Format;
   std::string Reorder = "none";
   int Repetitions = 0;
   double MedianSeconds = 0.0;
@@ -143,9 +138,8 @@ struct BenchRecord {
 
 /// Accumulates BenchRecords and serializes them as granii-bench-v1 JSON
 /// (see docs/OBSERVABILITY.md for the schema). The report header carries
-/// the git SHA, the thread count shared by all records, the SIMD levels
-/// ("isa_levels") the producing host can execute, and the sparse storage
-/// formats ("formats") the producing build can run.
+/// the git SHA, the thread count shared by all records and the SIMD levels
+/// ("isa_levels") the producing host can execute.
 class BenchReport {
 public:
   /// Builds one record from repeated seconds samples; median/p10/p90 are

@@ -14,7 +14,6 @@
 #include "graph/Generators.h"
 #include "graph/Reorder.h"
 #include "kernels/Dispatch.h"
-#include "kernels/FormatKernels.h"
 #include "kernels/Kernels.h"
 #include "support/Diag.h"
 #include "support/Rng.h"
@@ -241,29 +240,6 @@ int runJsonMode(const std::string &Path) {
     Report.add(std::move(R));
   };
 
-  /// Measure, then stamp the record with the sparse format it ran under so
-  /// granii-bench-diff can skip it against head builds lacking the format.
-  auto MeasureFormat = [&](const std::string &Id, const std::string &GraphName,
-                           int64_t KIn, int64_t KOut,
-                           const PrimitiveDesc &Desc,
-                           const std::string &Format, auto &&Fn) {
-    Fn();
-    const int Reps = 11;
-    std::vector<double> Samples;
-    Samples.reserve(Reps);
-    for (int I = 0; I < Reps; ++I) {
-      Timer T;
-      Fn();
-      Samples.push_back(T.seconds());
-    }
-    BenchRecord R = BenchReport::makeRecord("micro/" + Id + "/" + Isa,
-                                            GraphName, KIn, KOut, "none",
-                                            Samples, Desc.bytes());
-    R.Format = Format;
-    Medians[Id][Isa] = R.MedianSeconds;
-    Report.add(std::move(R));
-  };
-
   auto MeasureAll = [&] {
     {
       const int64_t N = 1024, K = 64;
@@ -323,48 +299,6 @@ int runJsonMode(const std::string &Path) {
               {PrimitiveKind::EdgeSoftmax, G.numNodes(), 0, 0,
                G.numEdges()},
               [&] { kernels::edgeSoftmaxInto(G.adjacency(), Vals, Out); });
-    }
-    // Per-format SpMM/SDDMM: the same workload under each non-CSR storage
-    // layout (the CSR rows above are the reference). Conversion happens
-    // outside the timed region, like the executor's one-time format setup.
-    {
-      const int64_t K = 64;
-      const CsrMatrix &A = G.adjacency();
-      std::vector<float> Vals(static_cast<size_t>(A.nnz()), 0.5f);
-      DenseMatrix H = randomDense(G.numNodes(), K, 4);
-      DenseMatrix Out(G.numNodes(), K);
-      std::vector<float> EdgeOut(static_cast<size_t>(A.nnz()));
-      // ELL is sliced ELL with a single slice.
-      SellMatrix Ell = SellMatrix::fromCsr(A, A.rows());
-      SellMatrix Sell = SellMatrix::fromCsr(A);
-      HybMatrix Hyb = HybMatrix::fromCsr(A);
-      PrimitiveDesc SpmmDesc{PrimitiveKind::SpMMWeighted, G.numNodes(), K, 0,
-                             G.numEdges()};
-      PrimitiveDesc SddmmDesc{PrimitiveKind::SddmmDot, G.numNodes(), 0, K,
-                              G.numEdges()};
-      for (SparseFormat Format : forwardSparseFormats()) {
-        if (Format == SparseFormat::Csr)
-          continue;
-        const std::string Name = sparseFormatName(Format);
-        const SellMatrix &Sliced = Format == SparseFormat::Ell ? Ell : Sell;
-        MeasureFormat(
-            "spmm_w/64/" + Name, G.name(), K, K, SpmmDesc, Name, [&] {
-              if (Format == SparseFormat::Hyb)
-                kernels::spmmHybInto(Hyb, Vals, H, Semiring::plusTimes(), Out);
-              else
-                kernels::spmmSellInto(Sliced, Vals, H, Semiring::plusTimes(),
-                                      Out);
-            });
-        MeasureFormat(
-            "sddmm_dot/64/" + Name, G.name(), K, K, SddmmDesc, Name, [&] {
-              if (Format == SparseFormat::Hyb)
-                kernels::sddmmHybInto(Hyb, H, H, Semiring::plusTimes(),
-                                      EdgeOut);
-              else
-                kernels::sddmmSellInto(Sliced, H, H, Semiring::plusTimes(),
-                                       EdgeOut);
-            });
-      }
     }
   };
 

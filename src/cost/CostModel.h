@@ -39,15 +39,6 @@ public:
   /// setup steps charged once (the quantity GRANII minimizes online).
   double planSeconds(const CompositionPlan &Plan, const DimBinding &Binding,
                      const GraphStats &Stats, int Iterations) const;
-
-  /// Same, with every sparse step costed under \p Format instead of the
-  /// plan's stamped format, plus the one-time CSR-to-format structure
-  /// conversion charge for non-CSR formats (mirroring what the executor's
-  /// formatSetup pays). The quantity the online selector minimizes jointly
-  /// over (plan, format).
-  double planSeconds(const CompositionPlan &Plan, const DimBinding &Binding,
-                     const GraphStats &Stats, int Iterations,
-                     SparseFormat Format) const;
 };
 
 /// Roofline-based estimates straight from the hardware model.

@@ -72,36 +72,6 @@ DeviceParams DeviceParams::h100() {
   return P;
 }
 
-double granii::sparseFormatCostFactor(SparseFormat Format,
-                                      const GraphStats &Stats) {
-  double Nnz = static_cast<double>(std::max<int64_t>(Stats.NumEdges, 1));
-  double Pad =
-      static_cast<double>(Stats.NumNodes) * std::max(Stats.MaxDegree, 1.0) /
-      Nnz;
-  // A pathological single hub row can make the padded layout arbitrarily
-  // large; past ~64x the ranking no longer changes, only the magnitude.
-  Pad = std::clamp(Pad, 1.0, 64.0);
-  switch (Format) {
-  case SparseFormat::Ell:
-    // Cheapest at pad == 1 (no offsets stream, unit-stride pattern), but
-    // every padded lane is a wasted load + multiply.
-    return 0.92 + 0.25 * (Pad - 1.0);
-  case SparseFormat::Sell:
-    // Slices re-fit the width every 32 rows, so padding only costs within
-    // a slice; small fixed overhead for the per-slice indirection.
-    return 0.97 + 0.06 * (Pad - 1.0);
-  case SparseFormat::Hyb:
-    // Split maintenance overhead at pad == 1; approaches its best case as
-    // skew grows and the COO overflow absorbs the heavy rows.
-    return 1.02 - 0.08 * (1.0 - 1.0 / Pad);
-  case SparseFormat::Csr:
-  case SparseFormat::Csc:
-  case SparseFormat::Auto:
-    return 1.0;
-  }
-  return 1.0;
-}
-
 double HardwareModel::estimateSeconds(const PrimitiveDesc &Desc,
                                       const GraphStats *Stats) const {
   double Flops = Desc.flops();
@@ -127,7 +97,6 @@ double HardwareModel::estimateSeconds(const PrimitiveDesc &Desc,
 
   if (Sparse && Stats) {
     Time *= 1.0 + Params.IrregularityCoef * Stats->DegreeCv;
-    Time *= sparseFormatCostFactor(Desc.Format, *Stats);
     // Sharded aggregation re-reads every cut edge's halo row once per
     // shard boundary it crosses; the analytic model prices that extra
     // memory traffic proportionally to the partition's edge-cut fraction

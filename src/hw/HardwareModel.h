@@ -58,15 +58,6 @@ struct DeviceParams {
   static DeviceParams h100();
 };
 
-/// Analytic per-format multiplier on a sparse primitive's latency, derived
-/// from the graph's padding ratio NumNodes*MaxDegree/NumEdges (how much an
-/// N x MaxDegree padded layout overshoots the real nnz). Near 1 (regular,
-/// mesh-like graphs) ELL's branch-free fixed-width rows win; as padding
-/// grows (skewed, R-MAT-like graphs) ELL degrades fastest, sliced ELL
-/// degrades gently, and hybrid approaches its best case by clipping the
-/// heavy rows into COO overflow. CSR and CSC are the 1.0 baseline.
-double sparseFormatCostFactor(SparseFormat Format, const GraphStats &Stats);
-
 /// How a platform produces timings.
 enum class PlatformKind {
   Measured, ///< run the kernel and report wall-clock time

@@ -289,6 +289,74 @@ void kernels::spmmInto(const CsrMatrix &A, const DenseMatrix &B,
 }
 // granii-noalloc-end
 
+void kernels::spmmCscTransposedInto(const CscMatrix &A,
+                                    std::span<const float> Vals,
+                                    const DenseMatrix &B, const Semiring &S,
+                                    DenseMatrix &Dst) {
+  GRANII_CHECK(A.rows() == B.rows(), "spmm_csc_t dimension mismatch");
+  GRANII_CHECK(Vals.empty() || static_cast<int64_t>(Vals.size()) == A.nnz(),
+               "spmm_csc_t edge value count mismatch");
+  checkDenseDst(Dst, A.cols(), B.cols(), "spmm_csc_t");
+  const auto &ColOffsets = A.colOffsets();
+  const auto &Rows = A.rowIndices();
+  const auto &CsrIdx = A.csrIndices();
+  const int64_t NCols = B.cols();
+  auto EdgeVal = [&](int64_t K) {
+    return Vals.empty() ? 1.0f : Vals[static_cast<size_t>(CsrIdx[K])];
+  };
+  if (S.Reduce == ReduceOpKind::Sum || S.Reduce == ReduceOpKind::Mean) {
+    // Output row c is column c of the source. The sum runs through the
+    // dispatch table's per-neighbor ops, the loop bodies of SpmmRowRange,
+    // so it matches spmmInto over the transpose bitwise; unlike the other
+    // kernels here, that costs one indirect call per edge. Values gather
+    // through the CSC->CSR index map in place.
+    const SimdOps &Ops = simdOps();
+    const bool Mean = S.Reduce == ReduceOpKind::Mean;
+    const bool PlainSum = S.Combine == CombineOpKind::CopyRhs ||
+                          (S.Combine == CombineOpKind::Mul && Vals.empty());
+    const bool MulCombine = S.Combine == CombineOpKind::Mul;
+    parallelForCsrRows(ColOffsets, [&](int64_t ColBegin, int64_t ColEnd) {
+      for (int64_t C = ColBegin; C < ColEnd; ++C) {
+        float *Out = Dst.rowPtr(C);
+        std::fill(Out, Out + NCols, 0.0f);
+        const int64_t Begin = ColOffsets[C], End = ColOffsets[C + 1];
+        for (int64_t K = Begin; K < End; ++K) {
+          const float *Src = B.rowPtr(Rows[K]);
+          if (PlainSum) {
+            Ops.AddRange(Out, Src, Out, NCols);
+          } else if (MulCombine) {
+            Ops.AxpyRange(EdgeVal(K), Src, Out, NCols);
+          } else { // Add combine.
+            const float Edge = EdgeVal(K);
+            for (int64_t J = 0; J < NCols; ++J)
+              Out[J] = (Edge + Src[J]) + Out[J];
+          }
+        }
+        if (Mean && End > Begin)
+          Ops.ScaleRange(1.0f / static_cast<float>(End - Begin), Out, Out,
+                         NCols);
+      }
+    });
+    return;
+  }
+  // General (max/min) reduction path, the same scalar body as spmmInto's.
+  parallelForCsrRows(ColOffsets, [&](int64_t ColBegin, int64_t ColEnd) {
+    for (int64_t C = ColBegin; C < ColEnd; ++C) {
+      float *Out = Dst.rowPtr(C);
+      const int64_t Begin = ColOffsets[C], End = ColOffsets[C + 1];
+      const float Identity = S.reduceIdentity();
+      for (int64_t J = 0; J < NCols; ++J)
+        Out[J] = End > Begin ? Identity : 0.0f;
+      for (int64_t K = Begin; K < End; ++K) {
+        const float Edge = EdgeVal(K);
+        const float *Src = B.rowPtr(Rows[K]);
+        for (int64_t J = 0; J < NCols; ++J)
+          Out[J] = S.reduce(Out[J], S.combine(Edge, Src[J]));
+      }
+    }
+  });
+}
+
 // granii-noalloc-begin: SDDMM scores every masked edge each layer; the dot
 // loops write straight into the caller's value span.
 void kernels::sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,

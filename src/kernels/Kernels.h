@@ -23,6 +23,7 @@
 #ifndef GRANII_KERNELS_KERNELS_H
 #define GRANII_KERNELS_KERNELS_H
 
+#include "tensor/CscMatrix.h"
 #include "tensor/CsrMatrix.h"
 #include "tensor/DenseMatrix.h"
 #include "tensor/Semiring.h"
@@ -99,6 +100,17 @@ void reluBackwardInto(const DenseMatrix &Pre, const DenseMatrix &Grad,
 /// Semiring::plusCopy() it is the cheaper unweighted aggregation.
 void spmmInto(const CsrMatrix &A, const DenseMatrix &B, const Semiring &S,
               DenseMatrix &Dst);
+
+/// Dst = A^T (x) B under \p S into \p Dst (A.cols() x B.cols()): the
+/// backward-pass aggregation. Walks the CSC columns directly; \p Vals holds
+/// the edge values in the *source* CSR edge order (empty = unweighted) and
+/// is gathered through the CSC entry map. Each output row visits its
+/// entries in ascending source-row order, the entry order of
+/// CsrMatrix::transposed(), so the result is bitwise equal to
+/// spmmInto(A.transposed(), B, S, Dst).
+void spmmCscTransposedInto(const CscMatrix &A, std::span<const float> Vals,
+                           const DenseMatrix &B, const Semiring &S,
+                           DenseMatrix &Dst);
 
 /// Generalized SDDMM into \p Out, which must have Mask.nnz() entries:
 /// per-edge values at the mask's nonzeros, out_ij = combine over k of

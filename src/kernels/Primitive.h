@@ -11,7 +11,6 @@
 #ifndef GRANII_KERNELS_PRIMITIVE_H
 #define GRANII_KERNELS_PRIMITIVE_H
 
-#include "tensor/SparseFormat.h"
 
 #include <cstdint>
 #include <string>
@@ -64,10 +63,6 @@ struct PrimitiveDesc {
   int64_t Cols = 0;
   int64_t Inner = 0;
   int64_t Nnz = 0;
-  /// Storage format the sparse operand runs under. Only meaningful for
-  /// sparse primitives; the cost layer regresses per-format costs from it
-  /// and the analytic model applies a per-format padding/regularity factor.
-  SparseFormat Format = SparseFormat::Csr;
 
   /// Floating-point operations performed.
   double flops() const;

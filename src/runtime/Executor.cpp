@@ -2,7 +2,6 @@
 
 #include "runtime/Executor.h"
 
-#include "kernels/FormatKernels.h"
 #include "kernels/Kernels.h"
 #include "support/Error.h"
 #include "support/ThreadPool.h"
@@ -234,69 +233,41 @@ Semiring semiringOf(StepOp Op) {
 }
 
 /// The sparse operand of every aggregation step of one run, resolved once
-/// before the first step from the workspace's format and shard state: CSR,
-/// SELL (which also stores ELL, as one slice), HYB, or the shard pipeline.
-/// Every sparse value a plan produces carries the bound adjacency's pattern
-/// (PlanWorkspace::sparseFor copies it), which is exactly what the cached
-/// structures were built from, so the shape/nnz guard against the
-/// adjacency is checked here once rather than per step; edge values always
-/// come from the step's own CSR-ordered operand. Every case preserves CSR
-/// neighbor order and shares the dispatched inner loops, so they are all
-/// bitwise identical.
+/// before the first step from the workspace's shard state: the whole-graph
+/// CSR kernels or the shard pipeline. Every sparse value a plan produces
+/// carries the bound adjacency's pattern (PlanWorkspace::sparseFor copies
+/// it), which is exactly what the cached CSC and shard blocks were built
+/// from, so the shape/nnz guard against the adjacency is checked here once
+/// rather than per step; edge values always come from the step's own
+/// CSR-ordered operand. Both cases preserve CSR neighbor order and share
+/// the dispatched inner loops, so they are bitwise identical.
 class SparseOperand {
 public:
-  SparseOperand(const CsrMatrix &Adj, PlanWorkspace &Ws, SparseFormat Format,
-                bool Sharded)
-      : Adj(Adj), Ws(Ws), FS(Ws.formatState()), SS(Ws.shardState()),
-        Format(Format) {
-    auto Covers = [&](const auto &M) {
-      return M.rows() == Adj.rows() && M.cols() == Adj.cols() &&
-             M.nnz() == Adj.nnz();
-    };
-    if (Sharded && SS.Shards > 1 && SS.Set.numNodes() == Adj.rows() &&
-        SS.Set.nnz() == Adj.nnz() && Adj.rows() == Adj.cols())
-      Which = Kind::Sharded;
-    else if (Format != SparseFormat::Csr && FS.Format == Format)
-      Which = Format == SparseFormat::Hyb
-                  ? (Covers(FS.Hyb) ? Kind::Hyb : Kind::Csr)
-                  : (Covers(FS.Sell) ? Kind::Sell : Kind::Csr);
-  }
-
-  /// The format the forward SpMM and the backward SDDMM walk (CSR for the
-  /// sharded case).
-  SparseFormat format() const {
-    return Which == Kind::Sell || Which == Kind::Hyb ? Format
-                                                     : SparseFormat::Csr;
+  SparseOperand(const CsrMatrix &Adj, PlanWorkspace &Ws, bool Sharded)
+      : Adj(Adj), Ws(Ws), FS(Ws.formatState()), SS(Ws.shardState()) {
+    IsSharded = Sharded && SS.Shards > 1 && SS.Set.numNodes() == Adj.rows() &&
+                SS.Set.nnz() == Adj.nnz() && Adj.rows() == Adj.cols();
   }
 
   /// Dst = A (x) B under \p S.
   void spmmInto(const CsrMatrix &A, const DenseMatrix &B, const Semiring &S,
                 DenseMatrix &Dst) const {
-    switch (Which) {
-    case Kind::Csr:
+    if (!IsSharded) {
       kernels::spmmInto(A, B, S, Dst);
       return;
-    case Kind::Sell:
-      kernels::spmmSellInto(FS.Sell, A.values(), B, S, Dst);
-      return;
-    case Kind::Hyb:
-      kernels::spmmHybInto(FS.Hyb, A.values(), B, S, Dst);
-      return;
-    case Kind::Sharded:
-      // Cold-start staging growth counts against the workspace.
-      size_t Grown = SS.Staging.ensureForward(SS.Set, B.cols());
-      for (; Grown > 0; --Grown)
-        Ws.countAllocation();
-      shard::shardedSpmmInto(SS.Set, SS.Staging, A.values(), B, S, Dst);
-      return;
     }
+    // Cold-start staging growth counts against the workspace.
+    size_t Grown = SS.Staging.ensureForward(SS.Set, B.cols());
+    for (; Grown > 0; --Grown)
+      Ws.countAllocation();
+    shard::shardedSpmmInto(SS.Set, SS.Staging, A.values(), B, S, Dst);
   }
 
   /// True when spmmTransposedInto needs no CSC build first: the shard
   /// blocks carry their own CSC slices, and the whole-graph CSC is cached
   /// per adjacency.
   bool transposeReady() const {
-    return Which == Kind::Sharded ||
+    return IsSharded ||
            (FS.CscSource == &Adj && FS.CscSourceNnz == Adj.nnz() &&
             FS.Csc.rows() == Adj.rows());
   }
@@ -314,7 +285,7 @@ public:
   /// and to the transpose-then-SpMM product.
   void spmmTransposedInto(const CsrMatrix &A, const DenseMatrix &B,
                           const Semiring &S, DenseMatrix &Dst) const {
-    if (Which == Kind::Sharded) {
+    if (IsSharded) {
       SS.Staging.ensureBackward(SS.Set, B.cols());
       shard::shardedSpmmCscTransposedInto(SS.Set, SS.Staging, A.values(), B, S,
                                           Dst);
@@ -323,32 +294,12 @@ public:
     kernels::spmmCscTransposedInto(FS.Csc, A.values(), B, S, Dst);
   }
 
-  /// Out = per-edge plus-times dots of U's and V's rows at A's pattern.
-  void sddmmInto(const CsrMatrix &A, const DenseMatrix &U,
-                 const DenseMatrix &V, std::span<float> Out) const {
-    switch (Which) {
-    case Kind::Sell:
-      kernels::sddmmSellInto(FS.Sell, U, V, Semiring::plusTimes(), Out);
-      return;
-    case Kind::Hyb:
-      kernels::sddmmHybInto(FS.Hyb, U, V, Semiring::plusTimes(), Out);
-      return;
-    case Kind::Csr:
-    case Kind::Sharded:
-      kernels::sddmmInto(A, U, V, Semiring::plusTimes(), Out);
-      return;
-    }
-  }
-
 private:
-  enum class Kind { Csr, Sell, Hyb, Sharded };
-
   const CsrMatrix &Adj;
   PlanWorkspace &Ws;
   detail::FormatState &FS;
   detail::ShardState &SS;
-  SparseFormat Format;
-  Kind Which = Kind::Csr;
+  bool IsSharded = false;
 };
 
 /// The plan interpreter behind both arena entry points: binds the inputs,
@@ -765,7 +716,6 @@ void PlanInterpreter::backward(ExecResult &Result,
                             ? PrimitiveKind::SpMMWeighted
                             : PrimitiveKind::SpMMUnweighted,
                         S.cols(), X.cols(), 0, S.nnz()};
-        D.Format = SparseFormat::Csc;
         Backward += chargeDesc(D, [&] {
           DenseMatrix &DX = Term(S.cols(), DY.cols());
           Sparse.spmmTransposedInto(S, DY, semiringOf(Step.Op), DX);
@@ -776,11 +726,10 @@ void PlanInterpreter::backward(ExecResult &Result,
         // dS_ij += dY_i . X_j (SDDMM at the sparse pattern).
         PrimitiveDesc D{PrimitiveKind::SddmmDot, S.rows(), 0, X.cols(),
                         S.nnz()};
-        D.Format = Sparse.format();
         Backward += chargeDesc(D, [&] {
           std::vector<float> &DS =
               Ws.fit(GS.EdgeScratch, static_cast<size_t>(S.nnz()));
-          Sparse.sddmmInto(S, DY, X, DS);
+          kernels::sddmmInto(S, DY, X, Semiring::plusTimes(), DS);
           std::vector<float> &Acc = AccEdge(OpId(0));
           for (size_t I = 0; I < DS.size(); ++I)
             Acc[I] += DS[I];
@@ -1012,33 +961,6 @@ double reorderSetup(const Executor &Exec, detail::ReorderState &RS,
   });
 }
 
-/// Rebuilds \p FS's forward structure for (Format, Adj) if it is stale;
-/// returns the setup seconds to charge (0 when already valid).
-double formatSetup(const Executor &Exec, detail::FormatState &FS,
-                   const CsrMatrix &Adj, const GraphStats &Stats,
-                   SparseFormat Format) {
-  if (FS.Format == Format && FS.SourceAdj == &Adj && FS.SourceNnz == Adj.nnz())
-    return 0.0;
-  // Per-(format, graph) conversion, hoisted like the reorder preprocessing.
-  // Each converter is a structure-only O(E) pass over the CSR, so it is
-  // charged as an edge-traversal primitive stamped with the target format.
-  TraceSpan Span("format-setup", "executor");
-  PrimitiveDesc Desc{PrimitiveKind::EdgeElementwise, Adj.rows(), 0, 0,
-                     Adj.nnz()};
-  Desc.Format = Format;
-  return Exec.timeKernel(Desc, Stats, [&] {
-    if (Format == SparseFormat::Hyb)
-      FS.Hyb = HybMatrix::fromCsr(Adj);
-    else if (Format == SparseFormat::Ell) // sliced ELL with a single slice
-      FS.Sell = SellMatrix::fromCsr(Adj, Adj.rows());
-    else
-      FS.Sell = SellMatrix::fromCsr(Adj);
-    FS.Format = Format;
-    FS.SourceAdj = &Adj;
-    FS.SourceNnz = Adj.nnz();
-  });
-}
-
 /// Content hash of a CSR structure, naming the on-disk shard store so a
 /// store built for one graph is never adopted for another. O(E), paid only
 /// on the store path where the block build itself is O(E log E).
@@ -1067,8 +989,8 @@ double shardSetup(const Executor &Exec, detail::ShardState &SS,
       SS.SourceNnz == Adj.nnz() && SS.StoreDir == Spec.StoreDir &&
       SS.Set.numNodes() == Adj.rows())
     return 0.0;
-  // Per-(shard count, graph) preprocessing, hoisted like the reorder and
-  // format conversions: the partition and the block build are both
+  // Per-(shard count, graph) preprocessing, hoisted like the reorder
+  // permutation: the partition and the block build are both
   // O(E)-dominated passes over the structure.
   TraceSpan Span("shard-setup", "executor");
   PrimitiveDesc Desc{PrimitiveKind::EdgeElementwise, Adj.rows(), 0, 0,
@@ -1195,10 +1117,8 @@ void Executor::execute(const CompositionPlan &Plan, const LayerInputs &Inputs,
                        ExecResult &Result, ReorderPolicy Policy,
                        SparseFormat Format, const ShardSpec &Sharding,
                        bool Training) const {
-  GRANII_CHECK(Format != SparseFormat::Auto && Format != SparseFormat::Csc,
-               "Executor: format must be a concrete forward format");
-  GRANII_CHECK(!Sharding.active() || Format == SparseFormat::Csr,
-               "sharded execution supports the CSR forward format only");
+  GRANII_CHECK(Format == SparseFormat::Csr,
+               "Executor: format must be csr (resolve auto by selection)");
   const LayerInputs *Bound = &Inputs;
   const GraphStats *BoundStats = &Stats;
   detail::ReorderState &RS = Ws.reorderState();
@@ -1212,14 +1132,11 @@ void Executor::execute(const CompositionPlan &Plan, const LayerInputs &Inputs,
     BoundStats = &RS.PermStats;
   }
   const CsrMatrix &Adj = *Bound->Adjacency;
-  if (Format != SparseFormat::Csr)
-    SetupSeconds +=
-        formatSetup(*this, Ws.formatState(), Adj, *BoundStats, Format);
   if (Sharding.active())
     SetupSeconds +=
         shardSetup(*this, Ws.shardState(), Adj, *BoundStats, Sharding);
   Ws.configure(Plan, Bound->binding(&Plan), Training);
-  SparseOperand Sparse(Adj, Ws, Format, Sharding.active());
+  SparseOperand Sparse(Adj, Ws, Sharding.active());
   PlanInterpreter Interp(*this, Plan, *Bound, *BoundStats, Ws, Sparse);
   Interp.forward(Result);
   if (Training) {

@@ -34,8 +34,6 @@
 #include "tensor/CscMatrix.h"
 #include "tensor/CsrMatrix.h"
 #include "tensor/DenseMatrix.h"
-#include "tensor/HybMatrix.h"
-#include "tensor/SellMatrix.h"
 #include "tensor/SparseFormat.h"
 
 #include <map>
@@ -114,29 +112,22 @@ struct ReorderState {
   DenseMatrix PermOutput;   ///< inverse-permutation staging buffer
 };
 
-/// Cached sparse-format state of a workspace: the structure conversion for
-/// the forward format plus the lazily built CSC transpose the backward pass
-/// walks instead of re-materializing S^T every step. Structures hold column
-/// layout only; edge values stay in the operands' CSR-ordered arrays, so
-/// one conversion per (format, graph) covers weighted and unweighted steps,
-/// and every sparse value of a plan (all share the adjacency's pattern).
+/// Cached sparse-format state of a workspace: the lazily built CSC view of
+/// the adjacency the backward pass walks instead of re-materializing S^T
+/// every step. It holds structure only; edge values stay in the operands'
+/// CSR-ordered arrays and gather through its CSR index map, so one build
+/// per graph serves every sparse value of a plan (all share the
+/// adjacency's pattern).
 struct FormatState {
-  SparseFormat Format = SparseFormat::Csr;
-  const CsrMatrix *SourceAdj = nullptr; ///< graph the cache was built for
-  int64_t SourceNnz = 0;                ///< guards against pointer reuse
-  SellMatrix Sell; ///< `sell` (32-row slices) or `ell` (one slice)
-  HybMatrix Hyb;
-  /// Backward transpose cache, keyed separately: it is needed under every
-  /// forward format, CSR included.
   CscMatrix Csc;
-  const CsrMatrix *CscSource = nullptr;
-  int64_t CscSourceNnz = 0;
+  const CsrMatrix *CscSource = nullptr; ///< graph the cache was built for
+  int64_t CscSourceNnz = 0;             ///< guards against pointer reuse
 };
 
 /// Cached sharding state of a workspace: the partition and shard blocks of
 /// one (shard count, graph) pair plus the persistent halo staging buffers.
 /// Building (or mapping) the blocks is setup, charged once like the reorder
-/// and format conversions; steady-state sharded runs only gather halos into
+/// permutation; steady-state sharded runs only gather halos into
 /// the staging high-water buffers and allocate nothing.
 struct ShardState {
   int Shards = 0;                       ///< 0 = no cached partition
@@ -262,8 +253,8 @@ public:
   /// The workspace's cached reordering state (empty until an executor run
   /// with a non-None policy populates it).
   detail::ReorderState &reorderState() { return Reorder; }
-  /// The workspace's cached sparse-format state (structure conversions +
-  /// the backward CSC transpose; empty until an executor run needs them).
+  /// The workspace's cached backward CSC transpose (empty until a training
+  /// run needs it).
   detail::FormatState &formatState() { return Format; }
   /// The workspace's cached sharding state (partition + blocks + halo
   /// staging; empty until an executor run with an active ShardSpec).
@@ -336,13 +327,8 @@ public:
   /// why the differential tests compare it with a tolerance rather than
   /// bitwise. Steady-state runs still allocate nothing.
   ///
-  /// A non-CSR \p Format runs every sparse aggregation over the workspace's
-  /// cached structure conversion of the bound adjacency (built on first use
-  /// and charged as setup). Per-format traversal preserves CSR neighbor
-  /// order and routes through the same dispatched inner loops, so outputs
-  /// stay bitwise identical to the CSR run at any thread count within one
-  /// ISA level. Auto must be resolved by the caller (the optimizer's
-  /// selection); Csc is backward-only — both abort here.
+  /// \p Format must be Csr (Auto is resolved by the optimizer's selection
+  /// and aborts here).
   ///
   /// An active \p Sharding partitions the bound adjacency into
   /// Sharding.Shards parts (cached per (count, graph); building or mapping
@@ -350,8 +336,7 @@ public:
   /// through the sharded gather → compute pipeline. The shard blocks
   /// preserve each row's original CSR entry order, so sharded outputs are
   /// bitwise identical to the whole-graph run at any shard and thread count
-  /// within one ISA level. Sharding requires the CSR forward format (it
-  /// aborts with any other).
+  /// within one ISA level.
   void run(const CompositionPlan &Plan, const LayerInputs &Inputs,
            const GraphStats &Stats, PlanWorkspace &Ws, ExecResult &Result,
            ReorderPolicy Policy = ReorderPolicy::None,
@@ -380,7 +365,7 @@ public:
                     FunctionRef<void()> Body) const;
 
 private:
-  /// The body of both arena entry points: reorder / format / shard set-up,
+  /// The body of both arena entry points: reorder / shard set-up,
   /// the forward pass and, when \p Training, the backward pass.
   void execute(const CompositionPlan &Plan, const LayerInputs &Inputs,
                const GraphStats &Stats, PlanWorkspace &Ws, ExecResult &Result,

@@ -59,6 +59,9 @@ std::string sessionKeyFor(const JobRequest &Req) {
   Key += kernels::isaLevelName(kernels::activeIsaLevel());
   Key += "/r" + Req.Reorder;
   Key += "/s" + std::to_string(Req.Seed);
+  // Raw format name, unvalidated like every field here: a warm session is
+  // looked up before validation, so an unknown or removed format name must
+  // key apart from the csr session and reach validateRequest's error.
   Key += "/f" + (Req.Format.empty() ? std::string("csr") : Req.Format);
   // Raw request value on purpose (-1 stays -1): auto resolution needs the
   // graph's edge count, and the warm session path must never load the
@@ -97,7 +100,7 @@ struct ValidRequest {
 };
 
 /// The checks compile and run share, cheapest first: embedding sizes,
-/// reorder policy, format, shard/format combination, DSL parse, graph load.
+/// reorder policy, format, DSL parse, graph load.
 /// nullopt, with \p Error set, at the first that fails.
 std::optional<ValidRequest> validateRequest(const JobRequest &Req,
                                             std::string &Error) {
@@ -111,20 +114,11 @@ std::optional<ValidRequest> validateRequest(const JobRequest &Req,
             "' (try none, rcm, degree)";
     return std::nullopt;
   }
-  // CSC is rejected: the executor always uses it internally for the
-  // backward transposed SpMM, but it is not a selectable forward layout.
   std::optional<SparseFormat> Format =
       parseSparseFormat(Req.Format.empty() ? "csr" : Req.Format);
-  if (!Format || *Format == SparseFormat::Csc) {
+  if (!Format) {
     Error = "unknown or unsupported sparse format '" + Req.Format +
-            "' (try csr, ell, sell, hyb, auto)";
-    return std::nullopt;
-  }
-  // Sharded execution only runs over the CSR forward aggregation format
-  // (docs/SHARDING.md).
-  if (Req.Shards != 0 && *Format != SparseFormat::Csr) {
-    Error = "sharded execution requires the csr format (got '" + Req.Format +
-            "')";
+            "' (try csr, auto)";
     return std::nullopt;
   }
   std::string ParseError;
@@ -210,7 +204,6 @@ Engine::Engine(EngineOptions OptsIn)
       CompileCost(Opts.Hw) {}
 
 PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
-                                      SparseFormat Format,
                                       const JobRequest &Req,
                                       CompileResponse &Resp) {
   Timer CompileTimer;
@@ -221,7 +214,6 @@ PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
   Key.KOut = Req.KOut;
   Key.Threads = ThreadPool::get().numThreads();
   Key.Isa = kernels::isaLevelName(kernels::activeIsaLevel());
-  Key.Format = Req.Format.empty() ? "csr" : Req.Format;
   Key.Shards = resolvedShardCount(Req, G);
   Resp.CacheKey = Key.canonical();
 
@@ -241,7 +233,6 @@ PlanCache::Plans Engine::resolvePlans(const GnnModel &Model, const Graph &G,
   OptOpts.Hw = Opts.Hw;
   OptOpts.Iterations = Opts.Iterations;
   OptOpts.Verify = Opts.Verify;
-  OptOpts.Format = Format;
   OptOpts.Shards = Key.Shards;
   Optimizer Compiled(Model, OptOpts, &CompileCost);
   auto Value = std::make_shared<const std::vector<CompositionPlan>>(
@@ -265,7 +256,7 @@ CompileResponse Engine::compile(const JobRequest &Req) {
     return Resp;
   }
   MutexLock Lock(M);
-  resolvePlans(Valid->Model, Valid->G, Valid->Format, Req, Resp);
+  resolvePlans(Valid->Model, Valid->G, Req, Resp);
   return Resp;
 }
 
@@ -316,8 +307,7 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   S->Cost = AnalyticCostModel(Opts.Hw);
 
   CompileResponse CompileInfo;
-  PlanCache::Plans Compiled =
-      resolvePlans(S->Model, G, Valid->Format, Req, CompileInfo);
+  PlanCache::Plans Compiled = resolvePlans(S->Model, G, Req, CompileInfo);
   S->PlanCacheHit = CompileInfo.PlanCacheHit;
   if (Compile)
     *Compile = CompileInfo;

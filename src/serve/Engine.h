@@ -161,13 +161,13 @@ public:
   const EngineOptions &options() const { return Opts; }
 
 private:
-  /// Resolves the promoted plan set for a validated request (\p Format is
-  /// its parsed format): plan cache get, else run the offline stage and
-  /// put. M serializes the offline stage (enumeration is deliberately not
-  /// concurrent) and guards CompileCost.
+  /// Resolves the promoted plan set for a validated request: plan cache
+  /// get, else run the offline stage and put. M serializes the offline
+  /// stage (enumeration is deliberately not concurrent) and guards
+  /// CompileCost.
   PlanCache::Plans resolvePlans(const GnnModel &Model, const Graph &G,
-                                SparseFormat Format, const JobRequest &Req,
-                                CompileResponse &Resp) GRANII_REQUIRES(M);
+                                const JobRequest &Req, CompileResponse &Resp)
+      GRANII_REQUIRES(M);
 
   EngineOptions Opts;
   PlanCache Plans;

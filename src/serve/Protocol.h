@@ -59,11 +59,12 @@ struct JobRequest {
   std::string Reorder = "none"; ///< ReorderPolicy name
   uint64_t Seed = 1;            ///< makeLayerParams parameter seed
   bool WantOutput = false;      ///< run only: return the output matrix
-  /// Sparse storage format name ("csr", "ell", "sell", "hyb", or "auto").
+  /// Sparse storage format name ("csr", or "auto", which resolves to csr;
+  /// empty means csr). Any other name is a request error.
   std::string Format = "csr";
   /// Sharded execution: 0 = whole-graph, > 1 = that many shards, -1 = auto
   /// (the engine resolves a count from the loaded graph's edge count).
-  /// Requires the csr format. Bitwise identical to whole-graph output.
+  /// Bitwise identical to whole-graph output.
   int64_t Shards = 0;
 };
 

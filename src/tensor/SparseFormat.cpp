@@ -5,42 +5,18 @@
 using namespace granii;
 
 const char *granii::sparseFormatName(SparseFormat F) {
-  switch (F) {
-  case SparseFormat::Csr:
-    return "csr";
-  case SparseFormat::Ell:
-    return "ell";
-  case SparseFormat::Sell:
-    return "sell";
-  case SparseFormat::Hyb:
-    return "hyb";
-  case SparseFormat::Csc:
-    return "csc";
-  case SparseFormat::Auto:
-    return "auto";
-  }
-  return "csr";
+  return F == SparseFormat::Auto ? "auto" : "csr";
 }
 
 std::optional<SparseFormat> granii::parseSparseFormat(const std::string &Name) {
   if (Name == "csr")
     return SparseFormat::Csr;
-  if (Name == "ell")
-    return SparseFormat::Ell;
-  if (Name == "sell")
-    return SparseFormat::Sell;
-  if (Name == "hyb")
-    return SparseFormat::Hyb;
-  if (Name == "csc")
-    return SparseFormat::Csc;
   if (Name == "auto")
     return SparseFormat::Auto;
   return std::nullopt;
 }
 
 const std::vector<SparseFormat> &granii::forwardSparseFormats() {
-  static const std::vector<SparseFormat> Formats = {
-      SparseFormat::Csr, SparseFormat::Ell, SparseFormat::Sell,
-      SparseFormat::Hyb};
+  static const std::vector<SparseFormat> Formats = {SparseFormat::Csr};
   return Formats;
 }

@@ -1,12 +1,14 @@
 //===- SparseFormat.h - Sparse storage format tags --------------*- C++ -*-===//
 ///
 /// \file
-/// The sparse storage format vocabulary. GRANII inspects the input to pick
-/// a primitive *ordering*; Qiu et al. show the same inspection should also
-/// pick the *storage format* (CSR vs ELL vs sliced-ELL vs hybrid, and CSC
-/// for the transpose-heavy backward pass). Every layer that carries a
-/// format choice — optimizer options, selections, plan files, the serve
-/// cache key, the CLI — speaks this tag.
+/// The sparse storage format vocabulary. Forward aggregations run over CSR
+/// and the backward pass walks a cached CSC view of the same adjacency
+/// (runtime/Executor.h), so CSR is the one selectable format; Auto is a
+/// selection directive that resolves to it. ELL, sliced-ELL and hybrid
+/// storage were measured against CSR on every evaluation graph and never
+/// won (docs/FORMATS.md), so their names are rejected like any unknown one.
+/// Optimizer options, selections, the serve request and its session key
+/// still carry the tag.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,23 +24,18 @@ namespace granii {
 
 /// Storage format for a sparse adjacency/attention matrix.
 enum class SparseFormat : uint8_t {
-  Csr,  ///< compressed sparse row (the baseline format)
-  Ell,  ///< ELLPACK: row-major, padded to the maximum row length
-  Sell, ///< sliced ELL: padded to the per-slice maximum (slice height 32)
-  Hyb,  ///< hybrid: ELL up to a width threshold + COO overflow
-  Csc,  ///< compressed sparse column (transposed traversal; backward pass)
-  Auto, ///< let the cost model pick jointly with the plan ordering
+  Csr,  ///< compressed sparse row
+  Auto, ///< let the selector pick (always Csr)
 };
 
-/// Stable lowercase name ("csr", "ell", "sell", "hyb", "csc", "auto") used
-/// by the CLI flag, plan files, cache keys and bench records.
+/// Stable lowercase name ("csr", "auto") used by requests, cache keys and
+/// reports.
 const char *sparseFormatName(SparseFormat F);
 
 /// Parses a format name; nullopt for unknown strings.
 std::optional<SparseFormat> parseSparseFormat(const std::string &Name);
 
-/// The formats a forward-pass g-SpMM/g-SDDMM executor can run under (CSC is
-/// backward-only, Auto is a selection directive, so neither is listed).
+/// The formats a forward-pass g-SpMM/g-SDDMM executor can run under.
 const std::vector<SparseFormat> &forwardSparseFormats();
 
 } // namespace granii

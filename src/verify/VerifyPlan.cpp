@@ -91,7 +91,6 @@ public:
 
   bool run() {
     size_t Before = Diags.errorCount();
-    checkFormat();
     if (!checkSsa())
       return false; // typing checks would read out-of-range ids
     for (size_t S = 0; S < Plan.Steps.size(); ++S)
@@ -112,18 +111,6 @@ private:
 
   bool validId(int Id) const {
     return Id >= 0 && static_cast<size_t>(Id) < Plan.Values.size();
-  }
-
-  /// Plan format legality: a stamped plan must name a concrete forward
-  /// storage format. Auto only exists pre-selection and CSC is the
-  /// backward-only transpose layout — neither is executable forward.
-  void checkFormat() {
-    if (Plan.Format == SparseFormat::Auto ||
-        Plan.Format == SparseFormat::Csc)
-      error(Plan.Name,
-            std::string("plan format '") + sparseFormatName(Plan.Format) +
-                "' is not a concrete forward storage format",
-            "stamp plans with csr/ell/sell/hyb; auto resolves at selection");
   }
 
   /// Diagnostic version of CompositionPlan::verify(): ids in range,

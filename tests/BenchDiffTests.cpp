@@ -25,8 +25,8 @@ std::string writeReport(const std::string &Name,
   return Path;
 }
 
-/// Like writeReport but with an extra header fragment (e.g. a "formats"
-/// array) spliced in after the thread count.
+/// Like writeReport but with an extra header fragment (e.g. an
+/// "isa_levels" array) spliced in after the thread count.
 std::string writeReportWithHeader(const std::string &Name,
                                   const std::string &Header,
                                   const std::vector<std::string> &Entries) {
@@ -174,31 +174,31 @@ TEST(BenchDiff, RejectsMalformedAndWrongSchema) {
   EXPECT_EQ(runBenchDiff({Good, "/nonexistent/x.json"}, Out, Err), 2);
 }
 
-// A baseline record measured under a sparse format the head build does not
-// list in its "formats" header is skipped — not warned about as missing,
-// and never counted as a regression.
-TEST(BenchDiff, FormatUnavailableInHeadIsSkippedNotWarned) {
+// A baseline record measured at a SIMD level the head host does not list
+// in its "isa_levels" header is skipped — not warned about as missing, and
+// never counted as a regression.
+TEST(BenchDiff, IsaUnavailableInHeadIsSkippedNotWarned) {
   std::string Base = writeReportWithHeader(
-      "bd_basefmt.json", "\"formats\": [\"csr\", \"ell\", \"hyb\"]",
-      {entry("micro/spmm_w/64/csr/scalar", 1.0, "\"format\": \"csr\""),
-       entry("micro/spmm_w/64/hyb/scalar", 1.0, "\"format\": \"hyb\"")});
+      "bd_baseisa.json", "\"isa_levels\": [\"scalar\", \"avx512\"]",
+      {entry("micro/gemm/scalar", 1.0, "\"isa\": \"scalar\""),
+       entry("micro/gemm/avx512", 1.0, "\"isa\": \"avx512\"")});
   std::string Head = writeReportWithHeader(
-      "bd_headfmt.json", "\"formats\": [\"csr\", \"ell\"]",
-      {entry("micro/spmm_w/64/csr/scalar", 1.0, "\"format\": \"csr\"")});
+      "bd_headisa.json", "\"isa_levels\": [\"scalar\"]",
+      {entry("micro/gemm/scalar", 1.0, "\"isa\": \"scalar\"")});
   std::string Out, Err;
   EXPECT_EQ(runBenchDiff({Base, Head}, Out, Err), 0) << Err;
-  EXPECT_NE(Out.find("skipped (format hyb unavailable)"), std::string::npos)
+  EXPECT_NE(Out.find("skipped (isa avx512 unavailable)"), std::string::npos)
       << Out;
   EXPECT_EQ(Err.find("missing from head"), std::string::npos) << Err;
 }
 
-// Without a "formats" header on the head (a report predating the field),
-// the absence is a plain missing-benchmark warning, not a silent skip.
-TEST(BenchDiff, MissingFormatsHeaderFallsBackToWarning) {
+// Without an "isa_levels" header on the head (a report predating the
+// field), the absence is a plain missing-benchmark warning, not a skip.
+TEST(BenchDiff, MissingIsaLevelsHeaderFallsBackToWarning) {
   std::string Base = writeReport(
-      "bd_basefmt2.json",
-      {entry("micro/spmm_w/64/hyb/scalar", 1.0, "\"format\": \"hyb\"")});
-  std::string Head = writeReport("bd_headfmt2.json", {entry("other", 1.0)});
+      "bd_baseisa2.json",
+      {entry("micro/gemm/avx512", 1.0, "\"isa\": \"avx512\"")});
+  std::string Head = writeReport("bd_headisa2.json", {entry("other", 1.0)});
   std::string Out, Err;
   EXPECT_EQ(runBenchDiff({Base, Head}, Out, Err), 0);
   EXPECT_NE(Err.find("missing from head"), std::string::npos) << Err;

@@ -326,115 +326,12 @@ TEST(Differential, AllPathsAgreeOnRandomInstances) {
 }
 
 //===----------------------------------------------------------------------===//
-// Multi-format differential: every forward storage format, plus auto
+// Format directive: auto resolves to CSR
 //===----------------------------------------------------------------------===//
 
-// For each random model x graph instance and every supported forward format:
-// the format's executor output agrees with the naive reference, agrees with
-// the CSR baseline within 1e-5 (the format kernels accumulate each row's
-// neighbors in CSR order, so in practice this is bitwise), and 1 vs 4
-// threads stays bitwise identical within the format (row partitioning never
-// splits one row's reduction, whatever the storage layout).
-TEST(Differential, FormatSweepAgreesAcrossFormats) {
-  for (uint64_t I = 0; I < 8; ++I) {
-    Instance Inst = makeInstance(6000 + I);
-    SCOPED_TRACE(Inst.Desc);
-    GnnModel M = makeModel(Inst.Kind);
-    LayerParams Params =
-        makeLayerParams(M, Inst.G, Inst.KIn, Inst.KOut, Inst.Seed);
-    DenseMatrix Naive = naiveReference(M, Params);
-    std::vector<CompositionPlan> Plans = survivingPlans(M);
-    ASSERT_FALSE(Plans.empty());
-    const CompositionPlan &Plan = Plans[I % Plans.size()];
-    DimBinding Binding = Params.inputs().binding(&Plan);
-
-    Executor E1(HardwareModel::byName("cpu"), /*NumThreads=*/1);
-    Executor E4(HardwareModel::byName("cpu"), /*NumThreads=*/4);
-    PlanWorkspace WsCsr;
-    WsCsr.configure(Plan, Binding, /*Training=*/false);
-    ExecResult Csr1;
-    E1.run(Plan, Params.inputs(), Params.Stats, WsCsr, Csr1);
-    EXPECT_TRUE(Csr1.Output.approxEquals(Naive, 3e-3f, 3e-3f))
-        << "CSR diverges from naive reference by "
-        << Csr1.Output.maxAbsDiff(Naive);
-
-    for (SparseFormat Format : forwardSparseFormats()) {
-      if (Format == SparseFormat::Csr)
-        continue;
-      SCOPED_TRACE(sparseFormatName(Format));
-      PlanWorkspace Ws1, Ws4;
-      Ws1.configure(Plan, Binding, /*Training=*/false);
-      Ws4.configure(Plan, Binding, /*Training=*/false);
-      ExecResult R1, R4;
-      E1.run(Plan, Params.inputs(), Params.Stats, Ws1, R1,
-             ReorderPolicy::None, Format);
-      E4.run(Plan, Params.inputs(), Params.Stats, Ws4, R4,
-             ReorderPolicy::None, Format);
-
-      EXPECT_TRUE(R1.Output.approxEquals(Naive, 3e-3f, 3e-3f))
-          << "diverges from naive reference by "
-          << R1.Output.maxAbsDiff(Naive);
-      EXPECT_TRUE(R1.Output.approxEquals(Csr1.Output, 1e-5f, 1e-5f))
-          << "diverges from the CSR baseline by "
-          << R1.Output.maxAbsDiff(Csr1.Output);
-      EXPECT_EQ(R4.Output.maxAbsDiff(R1.Output), 0.0f)
-          << "thread count changed the output under this format";
-    }
-  }
-}
-
-// Training under every forward format: gradients agree with the CSR
-// baseline. The backward pass always walks a CSC view of the adjacency for
-// the transposed SpMM and routes the dS SDDMM through the format structure,
-// so this exercises both the CSC kernel and the per-format SDDMM variants.
-TEST(Differential, FormatTrainingMatchesCsrBaseline) {
-  for (uint64_t I = 0; I < 4; ++I) {
-    Instance Inst = makeInstance(7000 + I);
-    SCOPED_TRACE(Inst.Desc);
-    GnnModel M = makeModel(Inst.Kind);
-    LayerParams Params =
-        makeLayerParams(M, Inst.G, Inst.KIn, Inst.KOut, Inst.Seed);
-    std::vector<CompositionPlan> Plans = survivingPlans(M);
-    ASSERT_FALSE(Plans.empty());
-    const CompositionPlan &Plan = Plans[I % Plans.size()];
-    DimBinding Binding = Params.inputs().binding(&Plan);
-    Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
-
-    PlanWorkspace WsCsr;
-    WsCsr.configure(Plan, Binding, /*Training=*/true);
-    ExecResult Base;
-    Exec.runTraining(Plan, Params.inputs(), Params.Stats, WsCsr, Base);
-
-    for (SparseFormat Format : forwardSparseFormats()) {
-      if (Format == SparseFormat::Csr)
-        continue;
-      SCOPED_TRACE(sparseFormatName(Format));
-      PlanWorkspace Ws;
-      Ws.configure(Plan, Binding, /*Training=*/true);
-      ExecResult R;
-      Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws, R,
-                       ReorderPolicy::None, Format);
-      EXPECT_TRUE(R.Output.approxEquals(Base.Output, 1e-5f, 1e-5f));
-      for (const auto &[Name, DW] : Base.WeightGrads) {
-        ASSERT_TRUE(R.WeightGrads.count(Name));
-        EXPECT_TRUE(R.WeightGrads.at(Name).approxEquals(DW, 1e-5f, 1e-5f))
-            << "grad " << Name << " differs by "
-            << R.WeightGrads.at(Name).maxAbsDiff(DW);
-      }
-      if (!Base.FeatureGrad.empty()) {
-        ASSERT_EQ(R.FeatureGrad.rows(), Base.FeatureGrad.rows());
-        EXPECT_TRUE(
-            R.FeatureGrad.approxEquals(Base.FeatureGrad, 1e-5f, 1e-5f))
-            << "feature grad differs by "
-            << R.FeatureGrad.maxAbsDiff(Base.FeatureGrad);
-      }
-    }
-  }
-}
-
-// End-to-end with --format=auto through the public Optimizer API: whatever
-// format the joint (plan, format) argmin picks, the result matches the
-// pinned-CSR baseline.
+// End-to-end with the auto format through the public Optimizer API: CSR is
+// the one storage format, so auto selects the pinned-CSR plan and format
+// and the outputs are bitwise equal.
 TEST(Differential, AutoFormatOptionMatchesCsrBaseline) {
   Graph G = makeRmat(220, 1400, 0.55, 0.2, 0.15, 42);
   for (ModelKind Kind : {ModelKind::GCN, ModelKind::SAGE, ModelKind::GAT}) {
@@ -453,11 +350,11 @@ TEST(Differential, AutoFormatOptionMatchesCsrBaseline) {
     Selection SelP = Plain.select(G, 16, 24);
     Selection SelA = Auto.select(G, 16, 24);
     EXPECT_EQ(SelP.Format, SparseFormat::Csr);
-    EXPECT_NE(SelA.Format, SparseFormat::Auto); // resolved to a concrete one
+    EXPECT_EQ(SelA.Format, SparseFormat::Csr);
+    EXPECT_EQ(SelA.PlanIndex, SelP.PlanIndex);
     DenseMatrix OutP = Plain.execute(SelP, Params, false).Output;
     DenseMatrix OutA = Auto.execute(SelA, Params, false).Output;
-    EXPECT_TRUE(OutA.approxEquals(OutP, 1e-5f, 1e-5f))
-        << "differs by " << OutA.maxAbsDiff(OutP);
+    EXPECT_EQ(OutA.maxAbsDiff(OutP), 0.0f) << "auto is not bitwise csr";
   }
 }
 

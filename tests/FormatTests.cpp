@@ -1,24 +1,25 @@
-//===- FormatTests.cpp - Multi-format storage conversion tests --------------===//
+//===- FormatTests.cpp - Sparse format tags and the CSC view --------------===//
 //
-// Converter round-trip properties (CSR -> {ELL, SELL, HYB, CSC} -> CSR is
-// exact; ELL is the single-slice SELL), hybrid overflow-threshold edge
-// cases, format-tag parsing, and GRANII_CHECK death tests on malformed
-// inputs. The cross-format numeric agreement of the kernels themselves
-// lives in DifferentialTests.
+// Format-tag parsing (csr and auto are the only names; the removed ELL,
+// sliced-ELL and hybrid names and the internal csc are rejected), the CSC
+// view's round trip and entry order (CSR -> CSC -> CSR is exact; column c
+// lists row c of the transpose in order), and GRANII_CHECK death tests on
+// malformed inputs. The numeric agreement of the CSC backward kernel with
+// the transpose-then-SpMM path lives in DifferentialTests.
 //
 //===----------------------------------------------------------------------===//
 
-#include "kernels/FormatKernels.h"
+#include "kernels/Dispatch.h"
+#include "kernels/Kernels.h"
 #include "support/Rng.h"
 #include "tensor/CooMatrix.h"
 #include "tensor/CscMatrix.h"
-#include "tensor/HybMatrix.h"
-#include "tensor/SellMatrix.h"
 #include "tensor/SparseFormat.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -40,7 +41,7 @@ void expectCsrEqual(const CsrMatrix &A, const CsrMatrix &B) {
       std::equal(A.values().begin(), A.values().end(), B.values().begin()));
 }
 
-/// The fixture family the ISSUE names: empty, diagonal, one dense row, and
+/// The fixture family: empty, rectangular-empty, diagonal, one dense row, and
 /// a skewed (hub-and-spokes plus ring) structure.
 struct Fixture {
   std::string Name;
@@ -75,7 +76,7 @@ std::vector<Fixture> makeFixtures() {
     Out.push_back({"skewed-hub", Coo.toCsr(/*Unweighted=*/false)});
   }
   {
-    Rng R(321); // > DefaultSliceHeight rows so SELL gets several slices
+    Rng R(321);
     CooMatrix Coo(100, 100);
     for (int64_t I = 0; I < 700; ++I)
       Coo.add(static_cast<int64_t>(R.nextBelow(100)),
@@ -93,64 +94,28 @@ std::vector<Fixture> makeFixtures() {
 //===----------------------------------------------------------------------===//
 
 TEST(SparseFormatTest, NamesRoundTripThroughParse) {
-  for (SparseFormat F :
-       {SparseFormat::Csr, SparseFormat::Ell, SparseFormat::Sell,
-        SparseFormat::Hyb, SparseFormat::Csc, SparseFormat::Auto}) {
+  for (SparseFormat F : {SparseFormat::Csr, SparseFormat::Auto}) {
     std::optional<SparseFormat> Back = parseSparseFormat(sparseFormatName(F));
     ASSERT_TRUE(Back.has_value()) << sparseFormatName(F);
     EXPECT_EQ(*Back, F);
   }
+  // Removed storage formats and the backward-only CSC view are not names.
+  for (const char *Removed : {"ell", "sell", "hyb", "csc"})
+    EXPECT_FALSE(parseSparseFormat(Removed).has_value()) << Removed;
   EXPECT_FALSE(parseSparseFormat("coo").has_value());
   EXPECT_FALSE(parseSparseFormat("").has_value());
   EXPECT_FALSE(parseSparseFormat("CSR").has_value()); // names are lowercase
 }
 
 TEST(SparseFormatTest, ForwardFormatsAreTheExecutableOnes) {
-  auto Fwd = forwardSparseFormats();
-  EXPECT_EQ(std::count(Fwd.begin(), Fwd.end(), SparseFormat::Csr), 1);
-  EXPECT_EQ(std::count(Fwd.begin(), Fwd.end(), SparseFormat::Ell), 1);
-  EXPECT_EQ(std::count(Fwd.begin(), Fwd.end(), SparseFormat::Sell), 1);
-  EXPECT_EQ(std::count(Fwd.begin(), Fwd.end(), SparseFormat::Hyb), 1);
-  // CSC is backward-only and Auto is a request, not a storage layout.
-  EXPECT_EQ(std::count(Fwd.begin(), Fwd.end(), SparseFormat::Csc), 0);
-  EXPECT_EQ(std::count(Fwd.begin(), Fwd.end(), SparseFormat::Auto), 0);
+  // CSR is the one storage layout; Auto is a request, not a layout.
+  EXPECT_EQ(forwardSparseFormats(),
+            std::vector<SparseFormat>{SparseFormat::Csr});
 }
 
 //===----------------------------------------------------------------------===//
 // Converter round trips: CSR -> X -> CSR is exact on every fixture
 //===----------------------------------------------------------------------===//
-
-TEST(FormatRoundTrip, EllIsExact) {
-  for (const Fixture &F : makeFixtures()) {
-    SCOPED_TRACE(F.Name);
-    SellMatrix E = SellMatrix::fromCsr(F.A, F.A.rows()); // one slice
-    E.verify();
-    EXPECT_LE(E.numSlices(), 1);
-    EXPECT_EQ(E.nnz(), F.A.nnz());
-    expectCsrEqual(E.toCsr(F.A.values()), F.A);
-  }
-}
-
-TEST(FormatRoundTrip, SellIsExact) {
-  for (const Fixture &F : makeFixtures()) {
-    SCOPED_TRACE(F.Name);
-    SellMatrix S = SellMatrix::fromCsr(F.A);
-    S.verify();
-    EXPECT_EQ(S.nnz(), F.A.nnz());
-    EXPECT_GE(S.paddedSize(), S.nnz());
-    expectCsrEqual(S.toCsr(F.A.values()), F.A);
-  }
-}
-
-TEST(FormatRoundTrip, HybIsExact) {
-  for (const Fixture &F : makeFixtures()) {
-    SCOPED_TRACE(F.Name);
-    HybMatrix H = HybMatrix::fromCsr(F.A);
-    H.verify();
-    EXPECT_EQ(H.nnz(), F.A.nnz());
-    expectCsrEqual(H.toCsr(F.A.values()), F.A);
-  }
-}
 
 TEST(FormatRoundTrip, CscIsExact) {
   for (const Fixture &F : makeFixtures()) {
@@ -170,47 +135,12 @@ TEST(FormatRoundTrip, UnweightedStaysUnweighted) {
             static_cast<int64_t>(R.nextBelow(10)));
   CsrMatrix A = Coo.toCsr(); // structural: values() is empty
   ASSERT_TRUE(A.values().empty());
-  expectCsrEqual(SellMatrix::fromCsr(A, A.rows()).toCsr(), A);
-  expectCsrEqual(SellMatrix::fromCsr(A).toCsr(), A);
-  expectCsrEqual(HybMatrix::fromCsr(A).toCsr(), A);
   expectCsrEqual(CscMatrix::fromCsr(A).toCsr(), A);
 }
 
 //===----------------------------------------------------------------------===//
 // Structural properties of the conversions
 //===----------------------------------------------------------------------===//
-
-TEST(FormatStructure, EllWidthIsMaxRowLength) {
-  CooMatrix Coo(4, 8);
-  Coo.add(0, 1);
-  Coo.add(1, 0);
-  Coo.add(1, 2);
-  Coo.add(1, 5); // row 1 is longest: 3 entries
-  CsrMatrix A = Coo.toCsr();
-  SellMatrix E = SellMatrix::fromCsr(A, A.rows()); // ELL: one slice
-  ASSERT_EQ(E.numSlices(), 1);
-  EXPECT_EQ(E.sliceWidth(0), 3);
-  EXPECT_EQ(static_cast<int64_t>(E.colIndices().size()), 4 * 3);
-  // Row 3 is empty: all padding.
-  for (int64_t K = 0; K < E.sliceWidth(0); ++K)
-    EXPECT_EQ(E.rowColsPtr(3)[K], -1);
-}
-
-TEST(FormatStructure, SellSlicesPadIndependently) {
-  // 64 rows = two slices. Slice 0 holds the single long row; slice 1 is
-  // one-entry-per-row, so its width must stay 1 regardless of slice 0.
-  CooMatrix Coo(64, 64);
-  for (int64_t J = 0; J < 20; ++J)
-    Coo.add(0, J);
-  for (int64_t I = 32; I < 64; ++I)
-    Coo.add(I, I % 64);
-  SellMatrix S = SellMatrix::fromCsr(Coo.toCsr());
-  ASSERT_EQ(S.numSlices(), 2);
-  EXPECT_EQ(S.sliceWidth(0), 20);
-  EXPECT_EQ(S.sliceWidth(1), 1);
-  EXPECT_LT(S.paddedSize(),
-            S.rows() * S.sliceWidth(0)); // cheaper than plain ELL
-}
 
 TEST(FormatStructure, CscColumnsMatchTransposedCsr) {
   Rng R(77);
@@ -232,9 +162,39 @@ TEST(FormatStructure, CscColumnsMatchTransposedCsr) {
               T.values()[static_cast<size_t>(K)]);
 }
 
-//===----------------------------------------------------------------------===//
-// Hybrid overflow-threshold edge cases
-//===----------------------------------------------------------------------===//
+// The backward kernel walks the CSC view and must give the bits of the
+// transpose-then-SpMM product at every ISA level, for every semiring path
+// (the dispatched sum/mean ops and the shared scalar max path).
+TEST(FormatStructure, CscTransposedSpmmMatchesTransposedCsrBitwise) {
+  const kernels::IsaLevel Entry = kernels::activeIsaLevel();
+  Rng R(91);
+  CooMatrix Coo(40, 30);
+  for (int64_t I = 0; I < 260; ++I)
+    Coo.add(static_cast<int64_t>(R.nextBelow(40)),
+            static_cast<int64_t>(R.nextBelow(30)), R.nextFloat(-1.0f, 1.0f));
+  CsrMatrix A = Coo.toCsr(/*Unweighted=*/false);
+  CscMatrix C = CscMatrix::fromCsr(A);
+  CsrMatrix T = A.transposed();
+  DenseMatrix B(40, 19);
+  for (int64_t I = 0; I < B.rows(); ++I)
+    for (int64_t J = 0; J < B.cols(); ++J)
+      B.rowPtr(I)[J] = R.nextFloat(-2.0f, 2.0f);
+  for (kernels::IsaLevel Level : kernels::supportedIsaLevels()) {
+    EXPECT_TRUE(kernels::setIsaLevel(Level));
+    for (const Semiring &S : {Semiring::plusTimes(), Semiring::plusCopy(),
+                              Semiring::meanCopy(), Semiring::maxCopy()}) {
+      SCOPED_TRACE(std::string(kernels::isaLevelName(Level)) + " " +
+                   semiringName(S));
+      DenseMatrix Want(30, 19), Got(30, 19);
+      kernels::spmmInto(T, B, S, Want);
+      kernels::spmmCscTransposedInto(C, A.values(), B, S, Got);
+      EXPECT_EQ(std::memcmp(Want.data(), Got.data(),
+                            sizeof(float) * static_cast<size_t>(30 * 19)),
+                0);
+    }
+  }
+  kernels::setIsaLevel(Entry);
+}
 
 namespace {
 
@@ -249,59 +209,6 @@ CsrMatrix skewedFixture() {
 
 } // namespace
 
-TEST(HybThreshold, WidthAtMaxRowLengthIsPureEll) {
-  CsrMatrix A = skewedFixture();
-  HybMatrix H = HybMatrix::fromCsr(A, /*EllWidth=*/8);
-  H.verify();
-  EXPECT_EQ(H.ellWidth(), 8);
-  EXPECT_EQ(H.cooNnz(), 0);
-  expectCsrEqual(H.toCsr(A.values()), A);
-}
-
-TEST(HybThreshold, WidthZeroIsPureCoo) {
-  CsrMatrix A = skewedFixture();
-  HybMatrix H = HybMatrix::fromCsr(A, /*EllWidth=*/0);
-  H.verify();
-  EXPECT_EQ(H.ellWidth(), 0);
-  EXPECT_EQ(H.cooNnz(), A.nnz());
-  EXPECT_TRUE(H.ellCols().empty());
-  expectCsrEqual(H.toCsr(A.values()), A);
-}
-
-TEST(HybThreshold, SingleLongRowSpillsOnlyItsTail) {
-  CsrMatrix A = skewedFixture();
-  HybMatrix H = HybMatrix::fromCsr(A, /*EllWidth=*/1);
-  H.verify();
-  // Every row keeps its first entry in ELL; only row 0's remaining 7 spill.
-  EXPECT_EQ(H.cooNnz(), 7);
-  EXPECT_EQ(H.cooRowOffsets()[1] - H.cooRowOffsets()[0], 7);
-  for (int64_t R = 1; R < H.rows(); ++R)
-    EXPECT_EQ(H.cooRowOffsets()[R + 1], H.cooRowOffsets()[R]);
-  expectCsrEqual(H.toCsr(A.values()), A);
-}
-
-TEST(HybThreshold, DefaultWidthCoversRegularGraphsEntirely) {
-  CooMatrix Coo(12, 12); // constant degree 2: mean == max, nothing spills
-  for (int64_t I = 0; I < 12; ++I) {
-    Coo.add(I, (I + 1) % 12);
-    Coo.add(I, (I + 5) % 12);
-  }
-  HybMatrix H = HybMatrix::fromCsr(Coo.toCsr());
-  EXPECT_EQ(H.cooNnz(), 0);
-  EXPECT_EQ(H.ellWidth(), 2);
-}
-
-TEST(HybThreshold, EveryWidthRoundTrips) {
-  CsrMatrix A = skewedFixture();
-  for (int64_t W = 0; W <= 9; ++W) {
-    SCOPED_TRACE(W);
-    HybMatrix H = HybMatrix::fromCsr(A, W);
-    H.verify();
-    EXPECT_EQ(H.cooNnz() + (H.nnz() - H.cooNnz()), A.nnz());
-    expectCsrEqual(H.toCsr(A.values()), A);
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Malformed-input death tests (GRANII_CHECK is always on)
 //===----------------------------------------------------------------------===//
@@ -309,38 +216,21 @@ TEST(HybThreshold, EveryWidthRoundTrips) {
 TEST(FormatDeathTest, ToCsrRejectsWrongValueCount) {
   CsrMatrix A = skewedFixture();
   std::vector<float> Short(static_cast<size_t>(A.nnz() - 1), 1.0f);
-  EXPECT_DEATH(SellMatrix::fromCsr(A, A.rows()).toCsr(Short),
-               "sell->csr value count mismatch");
-  EXPECT_DEATH(SellMatrix::fromCsr(A).toCsr(Short),
-               "sell->csr value count mismatch");
-  EXPECT_DEATH(HybMatrix::fromCsr(A).toCsr(Short),
-               "hyb->csr value count mismatch");
   EXPECT_DEATH(CscMatrix::fromCsr(A).toCsr(Short),
                "csc->csr value count mismatch");
 }
 
-TEST(FormatDeathTest, HybRejectsNegativeWidth) {
-  CsrMatrix A = skewedFixture();
-  EXPECT_DEATH(HybMatrix::fromCsr(A, -1), "hyb ELL width must be non-negative");
-}
-
 TEST(FormatDeathTest, KernelsRejectShapeMismatches) {
   CsrMatrix A = skewedFixture(); // 10 x 10
-  DenseMatrix B(9, 4);           // wrong inner dimension
+  DenseMatrix B(9, 4);           // wrong row count for A^T (x) B
   DenseMatrix Dst(10, 4);
-  EXPECT_DEATH(kernels::spmmSellInto(SellMatrix::fromCsr(A), A.values(), B,
-                                     Semiring::plusTimes(), Dst),
-               "spmm_sell dimension mismatch");
-  EXPECT_DEATH(kernels::spmmHybInto(HybMatrix::fromCsr(A), A.values(), B,
-                                    Semiring::plusTimes(), Dst),
-               "spmm_hyb dimension mismatch");
-}
-
-TEST(FormatDeathTest, SddmmRejectsWrongOutputLength) {
-  CsrMatrix A = skewedFixture();
-  DenseMatrix U(10, 3), V(10, 3);
-  std::vector<float> Out(static_cast<size_t>(A.nnz() + 1));
-  EXPECT_DEATH(kernels::sddmmSellInto(SellMatrix::fromCsr(A), U, V,
-                                      Semiring::plusTimes(), Out),
-               "sddmm_sell destination length mismatch");
+  CscMatrix C = CscMatrix::fromCsr(A);
+  EXPECT_DEATH(kernels::spmmCscTransposedInto(C, A.values(), B,
+                                              Semiring::plusTimes(), Dst),
+               "spmm_csc_t dimension mismatch");
+  std::vector<float> Short(static_cast<size_t>(A.nnz() - 1), 1.0f);
+  DenseMatrix B10(10, 4);
+  EXPECT_DEATH(kernels::spmmCscTransposedInto(C, Short, B10,
+                                              Semiring::plusTimes(), Dst),
+               "spmm_csc_t edge value count mismatch");
 }

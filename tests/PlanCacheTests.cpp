@@ -57,7 +57,6 @@ TEST(PlanCacheKey, CanonicalEncodesEveryField) {
                       +[](PlanCacheKey &K) { K.KOut = 65; },
                       +[](PlanCacheKey &K) { K.Threads = 5; },
                       +[](PlanCacheKey &K) { K.Isa = "scalar"; },
-                      +[](PlanCacheKey &K) { K.Format = "ell"; },
                       +[](PlanCacheKey &K) { K.Shards = 4; }}) {
     PlanCacheKey Other = keyNumbered(1);
     Mutate(Other);
@@ -66,35 +65,6 @@ TEST(PlanCacheKey, CanonicalEncodesEveryField) {
   }
   EXPECT_EQ(keyNumbered(1).canonical(), C);
   EXPECT_EQ(keyNumbered(1).fileHash(), Key.fileHash());
-}
-
-// Regression: before the format dimension joined the key, a daemon serving
-// `--format=ell` after a CSR compile of the same (model, graph, k, threads,
-// isa) tuple would hand back the cached CSR plan set. The format must be a
-// distinct trailing key segment so the two populations never alias.
-TEST(PlanCacheKey, FormatIsPartOfTheKey) {
-  PlanCacheKey Csr = keyNumbered(1); // Format defaults to "csr"
-  PlanCacheKey Ell = keyNumbered(1);
-  Ell.Format = "ell";
-  EXPECT_TRUE(Csr.canonical().ends_with("/csr/sh0"));
-  EXPECT_TRUE(Ell.canonical().ends_with("/ell/sh0"));
-  EXPECT_NE(Csr.canonical(), Ell.canonical());
-  // An empty format (a request from an older client) aliases to csr rather
-  // than minting a third population.
-  PlanCacheKey Legacy = keyNumbered(1);
-  Legacy.Format.clear();
-  EXPECT_EQ(Legacy.canonical(), Csr.canonical());
-
-  PlanCache Cache(4);
-  Cache.put(Csr, somePlans());
-  EXPECT_EQ(Cache.get(Ell), nullptr) << "ell request served the CSR entry";
-  auto EllPlans = std::make_shared<const std::vector<CompositionPlan>>(
-      std::vector<CompositionPlan>(somePlans()->begin(),
-                                   somePlans()->begin() + 1));
-  Cache.put(Ell, EllPlans);
-  ASSERT_NE(Cache.get(Csr), nullptr);
-  ASSERT_NE(Cache.get(Ell), nullptr);
-  EXPECT_NE(Cache.get(Csr)->size(), Cache.get(Ell)->size());
 }
 
 // A sharded configuration selects under shard-annotated cost features, so
@@ -259,6 +229,30 @@ TEST(PlanCache, GarbageHeaderIsRejected) {
   EXPECT_EQ(Cache.get(Key), nullptr);
   EXPECT_EQ(Cache.stats().Corrupt, 1u);
   EXPECT_FALSE(std::filesystem::exists(Path));
+}
+
+// Plan files once carried an optional storage-format field for the removed
+// ELL, sliced-ELL and hybrid formats. A spill file whose plans carry it no
+// longer parses, so it is deleted and the key recompiles like any miss.
+TEST(PlanCache, FormatStampedSpillFileIsDeletedAndTreatedAsMiss) {
+  std::string Dir = uniqueTempDir("formatstamp");
+  PlanCache Cache(2, Dir);
+  PlanCacheKey Key = keyNumbered(4);
+  std::string Path = Cache.spillPathFor(Key);
+  std::filesystem::create_directories(Dir);
+  std::string Body = serializePlans(*somePlans());
+  size_t Eol = Body.find('\n');
+  ASSERT_NE(Eol, std::string::npos);
+  Body.insert(Eol, " ell"); // the first plan header gains a fifth field
+  {
+    std::ofstream Out(Path);
+    Out << "granii-plan-cache-v1 " << Key.canonical() << "\n" << Body;
+  }
+  EXPECT_EQ(Cache.get(Key), nullptr);
+  EXPECT_EQ(Cache.stats().Corrupt, 1u);
+  EXPECT_FALSE(std::filesystem::exists(Path));
+  Cache.put(Key, somePlans());
+  EXPECT_NE(Cache.get(Key), nullptr);
 }
 
 TEST(PlanCache, SharedValueSurvivesEviction) {

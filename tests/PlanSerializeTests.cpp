@@ -73,6 +73,15 @@ TEST(PlanSerialize, RejectsMalformedInput) {
 
   EXPECT_FALSE(deserializePlans("plan p 1 1\nvalue bogus N N 0 0 - A\nend\n",
                                 &Error));
+
+  // A plan stamped with a storage format (a removed fifth header field,
+  // written only for the ELL, sliced-ELL and hybrid formats).
+  EXPECT_FALSE(deserializePlans("plan p 1 1 ell\n"
+                                "value dense N Kin 0 0 features H\n"
+                                "output 0\n"
+                                "end\n",
+                                &Error));
+  EXPECT_NE(Error.find("malformed plan header"), std::string::npos) << Error;
 }
 
 TEST(PlanSerialize, RejectsSemanticallyBrokenPlans) {

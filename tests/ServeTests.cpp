@@ -229,7 +229,7 @@ TEST(Protocol, JobRequestRoundTrip) {
   Req.Reorder = "degree";
   Req.Seed = 7;
   Req.WantOutput = true;
-  Req.Format = "hyb";
+  Req.Format = "auto";
 
   JobRequest Out;
   std::string Err;
@@ -369,7 +369,7 @@ TEST(Engine, RequestErrorsComeBackAsStatusNotCrashes) {
              R.Format = "sell";
              R.Shards = 4;
            },
-           "requires the csr format"},
+           "unknown or unsupported sparse format 'sell'"},
       };
   for (const auto &[Mutate, Fragment] : Bad) {
     SCOPED_TRACE(Fragment);
@@ -468,10 +468,9 @@ TEST(Engine, CompileVerbPopulatesPlanCacheForLaterRuns) {
   EXPECT_TRUE(Run.PlanCacheHit);
 }
 
-// Regression: the plan-cache key must carry the requested format, so a
-// `--format=ell` compile after a CSR compile of the same job is a cache
-// miss with its own key — not a silently served CSR plan set.
-TEST(Engine, CompileWithFormatIsNotServedTheCsrCacheEntry) {
+// CSR is the one storage format and the plan-cache key carries none, so an
+// auto compile after a CSR compile of the same job rides the CSR entry.
+TEST(Engine, AutoCompileIsServedTheCsrCacheEntry) {
   Engine Eng(testEngineOptions());
   JobRequest Req = smallRequest(false);
 
@@ -479,58 +478,61 @@ TEST(Engine, CompileWithFormatIsNotServedTheCsrCacheEntry) {
   ASSERT_TRUE(Csr.Status.Ok) << Csr.Status.Error;
   EXPECT_FALSE(Csr.PlanCacheHit);
 
-  JobRequest EllReq = Req;
-  EllReq.Format = "ell";
-  CompileResponse Ell = Eng.compile(EllReq);
-  ASSERT_TRUE(Ell.Status.Ok) << Ell.Status.Error;
-  EXPECT_FALSE(Ell.PlanCacheHit) << "ell compile rode the CSR cache entry";
-  EXPECT_NE(Ell.CacheKey, Csr.CacheKey);
-
-  // Each population hits only itself on the second round.
-  EXPECT_TRUE(Eng.compile(Req).PlanCacheHit);
-  EXPECT_TRUE(Eng.compile(EllReq).PlanCacheHit);
+  JobRequest AutoReq = Req;
+  AutoReq.Format = "auto";
+  CompileResponse Auto = Eng.compile(AutoReq);
+  ASSERT_TRUE(Auto.Status.Ok) << Auto.Status.Error;
+  EXPECT_TRUE(Auto.PlanCacheHit) << "auto compile missed the CSR cache entry";
+  EXPECT_EQ(Auto.CacheKey, Csr.CacheKey);
 }
 
-// Distinct formats get distinct sessions, and every format's warm output
-// matches the CSR session bitwise (the format kernels preserve CSR
-// accumulation order).
+// The auto format gets its own session (the session key carries the raw
+// format name), whose warm output matches the CSR session bitwise.
 TEST(Engine, FormatSessionsAreDistinctAndAgreeBitwise) {
   Engine Eng(testEngineOptions());
   JobRequest Req = smallRequest();
   RunResponse Base = Eng.run(Req);
   ASSERT_TRUE(Base.Status.Ok) << Base.Status.Error;
 
-  for (const char *Format : {"ell", "sell", "hyb", "auto"}) {
-    SCOPED_TRACE(Format);
-    JobRequest FReq = Req;
-    FReq.Format = Format;
-    RunResponse First = Eng.run(FReq);
-    ASSERT_TRUE(First.Status.Ok) << First.Status.Error;
-    EXPECT_FALSE(First.SessionCacheHit) << "format reused the CSR session";
-    ASSERT_EQ(First.Output.size(), Base.Output.size());
-    EXPECT_EQ(std::memcmp(First.Output.data(), Base.Output.data(),
-                          Base.Output.size() * sizeof(float)),
-              0);
-    RunResponse Warm = Eng.run(FReq);
-    ASSERT_TRUE(Warm.Status.Ok);
-    EXPECT_TRUE(Warm.SessionCacheHit);
-    EXPECT_EQ(Warm.SteadyAllocations, 0u);
-  }
+  JobRequest FReq = Req;
+  FReq.Format = "auto";
+  RunResponse First = Eng.run(FReq);
+  ASSERT_TRUE(First.Status.Ok) << First.Status.Error;
+  EXPECT_FALSE(First.SessionCacheHit) << "auto reused the CSR session";
+  ASSERT_EQ(First.Output.size(), Base.Output.size());
+  EXPECT_EQ(std::memcmp(First.Output.data(), Base.Output.data(),
+                        Base.Output.size() * sizeof(float)),
+            0);
+  RunResponse Warm = Eng.run(FReq);
+  ASSERT_TRUE(Warm.Status.Ok);
+  EXPECT_TRUE(Warm.SessionCacheHit);
+  EXPECT_EQ(Warm.SteadyAllocations, 0u);
 }
 
+// Removed storage formats, the backward-only CSC view and unknown names are
+// request errors from both verbs, even with a warm CSR session and plan-cache
+// entry of the same job in place: the session key carries the raw format
+// name, so the warm lookup never serves them.
 TEST(Engine, UnknownOrBackwardOnlyFormatIsARequestError) {
   Engine Eng(testEngineOptions());
-  for (const char *Format : {"csc", "coo", "banana"}) {
+  JobRequest Csr = smallRequest();
+  ASSERT_TRUE(Eng.run(Csr).Status.Ok);
+  ASSERT_TRUE(Eng.compile(Csr).PlanCacheHit);
+  for (const char *Format : {"ell", "sell", "hyb", "csc", "coo", "banana"}) {
     SCOPED_TRACE(Format);
-    JobRequest Req = smallRequest();
+    JobRequest Req = Csr;
     Req.Format = Format;
     RunResponse R = Eng.run(Req);
     EXPECT_FALSE(R.Status.Ok);
-    EXPECT_NE(R.Status.Error.find("format"), std::string::npos);
-    JobRequest CReq = smallRequest(false);
-    CReq.Format = Format;
-    EXPECT_FALSE(Eng.compile(CReq).Status.Ok);
+    EXPECT_FALSE(R.SessionCacheHit);
+    const std::string Want = "unknown or unsupported sparse format '" +
+                             std::string(Format) + "' (try csr, auto)";
+    EXPECT_EQ(R.Status.Error, Want);
+    CompileResponse C = Eng.compile(Req);
+    EXPECT_FALSE(C.Status.Ok);
+    EXPECT_EQ(C.Status.Error, R.Status.Error);
   }
+  EXPECT_EQ(Eng.stats().SessionsLive, 1u);
 }
 
 TEST(Engine, SessionLruEvictsButEvictedConfigStillRuns) {

@@ -12,7 +12,6 @@
 #include "shard/ShardExec.h"
 
 #include "graph/Generators.h"
-#include "kernels/FormatKernels.h"
 #include "kernels/Kernels.h"
 #include "support/ThreadPool.h"
 #include "tensor/CooMatrix.h"

@@ -26,9 +26,6 @@ struct DiffRecord {
   double P90Seconds = 0.0;
   /// SIMD level the record was measured at (empty in pre-SIMD reports).
   std::string Isa;
-  /// Sparse storage format the record was measured under (empty for
-  /// format-agnostic records).
-  std::string Format;
   /// Baseline-only overrides.
   std::optional<double> Threshold;
   bool Gate = true;
@@ -49,19 +46,10 @@ struct DiffReport {
   /// for reports predating the field, in which case no ISA-based skipping
   /// happens.
   std::vector<std::string> IsaLevels;
-  /// Sparse storage formats the producing build supports ("formats"
-  /// header). Empty for reports predating the field, in which case no
-  /// format-based skipping happens.
-  std::vector<std::string> Formats;
 
   bool supportsIsa(const std::string &Isa) const {
     return std::find(IsaLevels.begin(), IsaLevels.end(), Isa) !=
            IsaLevels.end();
-  }
-
-  bool supportsFormat(const std::string &Format) const {
-    return std::find(Formats.begin(), Formats.end(), Format) !=
-           Formats.end();
   }
 
   void add(DiffRecord Record) {
@@ -106,11 +94,6 @@ bool loadReportFile(const std::string &Path, DiffReport &Report,
       for (const JsonValue &Level : IsaLevels->array())
         if (Level.kind() == JsonValue::Kind::String)
           Report.IsaLevels.push_back(Level.str());
-  if (const JsonValue *Formats = Doc->find("formats"))
-    if (Formats->kind() == JsonValue::Kind::Array)
-      for (const JsonValue &Format : Formats->array())
-        if (Format.kind() == JsonValue::Kind::String)
-          Report.Formats.push_back(Format.str());
   const JsonValue *Benchmarks = Doc->find("benchmarks");
   if (!Benchmarks || Benchmarks->kind() != JsonValue::Kind::Array) {
     Err += "error: " + Path + ": missing \"benchmarks\" array\n";
@@ -127,7 +110,6 @@ bool loadReportFile(const std::string &Path, DiffReport &Report,
     Record.P10Seconds = Entry.numberOr("p10_seconds", 0.0);
     Record.P90Seconds = Entry.numberOr("p90_seconds", 0.0);
     Record.Isa = Entry.stringOr("isa", "");
-    Record.Format = Entry.stringOr("format", "");
     if (const JsonValue *Threshold = Entry.find("threshold"))
       if (Threshold->kind() == JsonValue::Kind::Number)
         Record.Threshold = Threshold->number();
@@ -196,13 +178,6 @@ int granii::benchdiff::runBenchDiff(const std::vector<std::string> &Args,
            !Head.supportsIsa(Base.Isa);
   };
 
-  /// Baseline records measured under a sparse format the head build cannot
-  /// run (older build, or a format compiled out): skipped the same way.
-  auto FormatUnavailable = [&](const DiffRecord &Base) {
-    return !Base.Format.empty() && !Head.Formats.empty() &&
-           !Head.supportsFormat(Base.Format);
-  };
-
   for (const DiffRecord &Base : Baseline.Records) {
     const DiffRecord *New = Head.find(Base.Id);
     if (!New) {
@@ -210,11 +185,6 @@ int granii::benchdiff::runBenchDiff(const std::vector<std::string> &Args,
         Table.push_back({Base.Id, formatDouble(Base.MedianSeconds * 1e3, 4),
                          "-", "-", "-",
                          "skipped (isa " + Base.Isa + " unavailable)"});
-      else if (FormatUnavailable(Base))
-        Table.push_back({Base.Id, formatDouble(Base.MedianSeconds * 1e3, 4),
-                         "-", "-", "-",
-                         "skipped (format " + Base.Format +
-                             " unavailable)"});
       continue;
     }
     ++Compared;
@@ -257,8 +227,7 @@ int granii::benchdiff::runBenchDiff(const std::vector<std::string> &Args,
   // records whose SIMD level the head host lacks already appear as skipped
   // rows and are expected to be absent.
   for (const DiffRecord &Base : Baseline.Records)
-    if (!Head.find(Base.Id) && !IsaUnavailable(Base) &&
-        !FormatUnavailable(Base))
+    if (!Head.find(Base.Id) && !IsaUnavailable(Base))
       Err += "warning: benchmark '" + Base.Id +
              "' in baseline but missing from head\n";
   for (const DiffRecord &New : Head.Records)

@@ -304,8 +304,8 @@ int cmdVerify(const ArgParser &Args, std::string &Out, std::string &Err) {
 /// checked. Nonzero steady-state allocations are a planning bug, reported
 /// via the exit code so CI can assert the zero-allocation property.
 int profileRun(const CompositionPlan &Plan, const LayerParams &Params,
-               const OptimizerOptions &Options, SparseFormat Format,
-               bool Training, std::string &Out, std::string &Err) {
+               const OptimizerOptions &Options, bool Training, std::string &Out,
+               std::string &Err) {
   Executor Exec(Options.Hw);
   Exec.setStepProfiling(true);
   PlanWorkspace Ws;
@@ -316,10 +316,10 @@ int profileRun(const CompositionPlan &Plan, const LayerParams &Params,
   auto RunOnce = [&] {
     if (Training)
       Exec.runTraining(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder,
-                       Format, Sharding);
+                       SparseFormat::Csr, Sharding);
     else
-      Exec.run(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder, Format,
-               Sharding);
+      Exec.run(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder,
+               SparseFormat::Csr, Sharding);
   };
   RunOnce(); // warm-up: plans the arena, allocates every slot
   Ws.resetAllocationCount();
@@ -365,15 +365,15 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(
           Args, "run",
           {"graph", "kin", "kout", "hw", "iters", "train", "profile",
-           "reorder", "format", "sharded", "shards", "shard-store", "verify",
-           "out", "threads", "isa", "trace"},
+           "reorder", "sharded", "shards", "shard-store", "verify", "out",
+           "threads", "isa", "trace"},
           Err))
     return Code;
   if (Args.Positional.size() < 2) {
     Err += "usage: granii-cli run <model.gnn> [--graph <mtx|synth:name>] "
            "--kin N --kout N [--hw cpu|a100|h100] [--iters N] [--train] "
            "[--threads N] [--isa scalar|avx2|avx512] [--profile] "
-           "[--reorder none|rcm|degree] [--format auto|csr|ell|sell|hyb] "
+           "[--reorder none|rcm|degree] "
            "[--sharded | --shards N] [--shard-store <dir>] "
            "[--out <file>] [--verify off|fast|full] [--trace <out.json>]\n";
     return 2;
@@ -411,13 +411,6 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
            "' (try none, rcm, degree)\n";
     return 2;
   }
-  std::string FormatName = Args.value("format", "csr");
-  std::optional<SparseFormat> Format = parseSparseFormat(FormatName);
-  if (!Format || *Format == SparseFormat::Csc) {
-    Err += "error: unknown or unsupported sparse format '" + FormatName +
-           "' (try auto, csr, ell, sell, hyb)\n";
-    return 2;
-  }
   std::optional<VerifyLevel> Verify = verifyFlag(Args, Err);
   if (!Verify)
     return 2;
@@ -429,17 +422,12 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   Options.Hw = HardwareModel::byName(Hw);
   Options.Iterations = static_cast<int>(Args.intValue("iters", 100));
   Options.Reorder = *Reorder;
-  Options.Format = *Format;
   Options.Verify = *Verify;
   // Resolve auto locally the same way the engine will, so the banner and
   // the --profile path agree with the served execution.
   Options.Shards = *Shards < 0 ? shard::autoShardCount(G->numEdges())
                                : static_cast<int>(*Shards);
   Options.ShardStoreDir = Args.value("shard-store", "");
-  if (Options.Shards > 1 && *Format != SparseFormat::Csr) {
-    Err += "error: sharded execution requires --format=csr\n";
-    return 2;
-  }
 
   // One-shot runs go through the same Engine/Session layer the daemon
   // serves from — one code path, bitwise-identical answers. Disk spill is
@@ -460,7 +448,6 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   Req.KOut = KOut;
   Req.Training = Training;
   Req.Reorder = Args.value("reorder", "none");
-  Req.Format = FormatName;
   Req.Shards = *Shards;
   Req.WantOutput = Args.hasFlag("out");
 
@@ -503,9 +490,8 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   const Selection &Sel = S->selection();
   Out += "online: candidate #" + std::to_string(Sel.PlanIndex) + " (" +
          (Sel.UsedCostModels ? "cost models" : "embedding-size condition") +
-         "), format " + sparseFormatName(Sel.Format) + ", predicted " +
-         formatDouble(Sel.PredictedSeconds * 1e3, 3) + " ms for " +
-         std::to_string(Options.Iterations) + " iterations\n";
+         "), predicted " + formatDouble(Sel.PredictedSeconds * 1e3, 3) +
+         " ms for " + std::to_string(Options.Iterations) + " iterations\n";
   Out += "selected composition:\n" +
          S->optimizer().promoted()[Sel.PlanIndex].toString();
 
@@ -538,7 +524,7 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
 
   if (Args.hasFlag("profile"))
     return profileRun(S->optimizer().promoted()[Sel.PlanIndex], S->params(),
-                      Options, Sel.Format, Training, Out, Err);
+                      Options, Training, Out, Err);
   return 0;
 }
 
@@ -595,16 +581,16 @@ int cmdServe(const ArgParser &Args, std::string &Out, std::string &Err) {
 int cmdCall(const ArgParser &Args, std::string &Out, std::string &Err) {
   if (int Code = rejectUnknownFlags(
           Args, "call",
-          {"socket", "graph", "kin", "kout", "train", "reorder", "format",
-           "sharded", "shards", "seed", "out", "compile-only", "stats",
-           "shutdown", "threads", "isa", "trace"},
+          {"socket", "graph", "kin", "kout", "train", "reorder", "sharded",
+           "shards", "seed", "out", "compile-only", "stats", "shutdown",
+           "threads", "isa", "trace"},
           Err))
     return Code;
   std::string Socket = Args.value("socket");
   if (Socket.empty()) {
     Err += "usage: granii-cli call --socket <path> <model.gnn> "
            "[--graph <mtx|synth:name>] [--kin N] [--kout N] [--train] "
-           "[--reorder none|rcm|degree] [--format auto|csr|ell|sell|hyb] "
+           "[--reorder none|rcm|degree] "
            "[--sharded | --shards N] [--seed N] [--out <file>] "
            "[--compile-only] | --stats | --shutdown\n";
     return 2;
@@ -674,7 +660,6 @@ int cmdCall(const ArgParser &Args, std::string &Out, std::string &Err) {
   Req.KOut = Args.intValue("kout", 32);
   Req.Training = Args.hasFlag("train");
   Req.Reorder = Args.value("reorder", "none");
-  Req.Format = Args.value("format", "csr");
   std::optional<int64_t> Shards = shardsFlag(Args, Err);
   if (!Shards)
     return 2;
