@@ -71,13 +71,15 @@ const std::vector<Graph> &BenchContext::evalGraphs() {
 }
 
 Optimizer &BenchContext::optimizer(ModelKind Kind, const std::string &Hw,
-                                   int Hops) {
-  std::string Key = modelName(Kind) + "/" + Hw + "/" + std::to_string(Hops);
+                                   int Hops, bool Training) {
+  std::string Key = modelName(Kind) + "/" + Hw + "/" + std::to_string(Hops) +
+                    (Training ? "/T" : "/I");
   auto It = Optimizers.find(Key);
   if (It == Optimizers.end()) {
     OptimizerOptions Opts;
     Opts.Hw = platform(Hw);
     Opts.Iterations = iterations();
+    Opts.Training = Training;
     auto Opt = std::make_unique<Optimizer>(makeModel(Kind, Hops), Opts,
                                            &costFor(Hw));
     It = Optimizers.emplace(Key, std::move(Opt)).first;
@@ -122,7 +124,7 @@ CellResult granii::bench::runCell(BenchContext &Ctx, BaselineSystem Sys,
   // The baseline system does not reorder; the policy applies to GRANII only.
   Cell.BaselineSeconds = TotalOf(Base, ReorderPolicy::None);
 
-  Optimizer &Opt = Ctx.optimizer(Kind, Hw);
+  Optimizer &Opt = Ctx.optimizer(Kind, Hw, /*Hops=*/2, Training);
   Cell.Sel = Opt.select(G, KIn, KOut);
   Cell.PlanIndex = Cell.Sel.PlanIndex;
   Cell.GraniiSeconds = TotalOf(Opt.promoted()[Cell.Sel.PlanIndex], Reorder) +

@@ -50,8 +50,10 @@ public:
   const std::vector<Graph> &evalGraphs();
   const std::vector<std::string> &evalCodes() const { return Codes; }
 
-  /// A GRANII optimizer for (model, hardware), constructed once.
-  Optimizer &optimizer(ModelKind Kind, const std::string &Hw, int Hops = 2);
+  /// A GRANII optimizer for (model, hardware, mode), constructed once; a
+  /// training optimizer selects on forward + backward cost.
+  Optimizer &optimizer(ModelKind Kind, const std::string &Hw, int Hops = 2,
+                       bool Training = false);
 
   /// Iteration count all experiments amortize over (paper: 100).
   int iterations() const { return 100; }

@@ -37,6 +37,7 @@ int main() {
   OptimizerOptions Options;
   Options.Hw = HardwareModel::byName("cpu");
   Options.Iterations = 50; // Training horizon to amortize over.
+  Options.Training = true; // Price forward + backward when selecting.
   AnalyticCostModel Cost(Options.Hw);
   Optimizer Granii(Model, Options, &Cost);
 

@@ -228,6 +228,129 @@ CompositionPlan::primitiveDescs(const DimBinding &Binding) const {
   return Descs;
 }
 
+std::vector<VjpStep> CompositionPlan::backwardDescs(const DimBinding &Binding,
+                                                    bool FeatureGrad) const {
+  auto Rows = [&](int Id) {
+    return Binding.eval(Values[static_cast<size_t>(Id)].Shape.Rows);
+  };
+  auto Cols = [&](int Id) {
+    return Binding.eval(Values[static_cast<size_t>(Id)].Shape.Cols);
+  };
+  // Values that depend on a requested leaf: the ones a gradient must reach.
+  std::vector<bool> Need(Values.size(), false);
+  for (size_t V = 0; V < Values.size(); ++V) {
+    if (!Values[V].InputRole)
+      continue;
+    switch (*Values[V].InputRole) {
+    case LeafRole::Weight:
+    case LeafRole::AttnSrcVec:
+    case LeafRole::AttnDstVec:
+      Need[V] = true;
+      break;
+    case LeafRole::Features:
+      Need[V] = FeatureGrad;
+      break;
+    case LeafRole::Adjacency:
+    case LeafRole::DegreeNorm:
+    case LeafRole::DegreeInv:
+      break;
+    }
+  }
+  for (const PlanStep &Step : Steps) {
+    bool Any = false;
+    for (int Id : Step.Operands)
+      Any |= Need[static_cast<size_t>(Id)];
+    Need[static_cast<size_t>(Step.Result)] = Any;
+  }
+
+  // Values holding a gradient so far; the walk starts from the seed.
+  std::vector<bool> Reached(Values.size(), false);
+  Reached[static_cast<size_t>(OutputValue)] = true;
+  std::vector<VjpStep> Vjps;
+  for (size_t SI = Steps.size(); SI-- > 0;) {
+    const PlanStep &Step = Steps[SI];
+    if (!Reached[static_cast<size_t>(Step.Result)])
+      continue;
+    auto Add = [&](int Operand, PrimitiveDesc Desc) {
+      const auto Id = static_cast<size_t>(Step.Operands[Operand]);
+      if (!Need[Id])
+        return;
+      Vjps.push_back({static_cast<int>(SI), Operand, Reached[Id], Desc});
+      Reached[Id] = true;
+    };
+    const int Res = Step.Result;
+    auto Op = [&](int I) { return Step.Operands[I]; };
+    switch (Step.Op) {
+    case StepOp::Gemm:
+      // dA = dY B^T, dB = A^T dY.
+      Add(0, {PrimitiveKind::Gemm, Rows(Op(0)), Cols(Op(0)), Cols(Op(1)), 0});
+      Add(1, {PrimitiveKind::Gemm, Cols(Op(0)), Cols(Op(1)), Rows(Op(0)), 0});
+      break;
+    case StepOp::SpmmWeighted:
+    case StepOp::SpmmUnweighted:
+      // dS = SDDMM(dY, X) at S's pattern, dX = S^T dY.
+      Add(0, {PrimitiveKind::SddmmDot, Rows(Op(0)), 0, Cols(Op(1)),
+              Binding.E});
+      Add(1, {primitiveKindOf(Step.Op), Cols(Op(0)), Cols(Op(1)), 0,
+              Binding.E});
+      break;
+    case StepOp::SddmmScaleRow:
+    case StepOp::SddmmScaleCol:
+    case StepOp::SddmmScaleBoth:
+      // Scale operands are graph-only (normalization); no parameters can
+      // sit behind them in the evaluated models.
+      break;
+    case StepOp::RowBcast:
+      Add(1, {PrimitiveKind::RowBroadcast, Rows(Res), Cols(Res), 0, 0});
+      break;
+    case StepOp::ColBcast:
+      Add(0, {PrimitiveKind::ColBroadcast, Rows(Res), Cols(Res), 0, 0});
+      break;
+    case StepOp::DiagDiag:
+    case StepOp::DegreeOffsets:
+    case StepOp::DegreeBinning:
+    case StepOp::InvSqrtVec:
+    case StepOp::InvVec:
+      break; // Graph-only.
+    case StepOp::AddDense:
+      Add(0, {PrimitiveKind::AddDense, Rows(Res), Cols(Res), 0, 0});
+      Add(1, {PrimitiveKind::AddDense, Rows(Res), Cols(Res), 0, 0});
+      break;
+    case StepOp::ScaleDense:
+    case StepOp::Relu:
+      Add(0, {PrimitiveKind::DenseMap, Rows(Res), Cols(Res), 0, 0});
+      break;
+    case StepOp::AttnGemv:
+      // dTheta = dy a^T, da = Theta^T dy.
+      Add(0, {PrimitiveKind::Gemm, Rows(Op(0)), Cols(Op(0)), 1, 0});
+      Add(1, {PrimitiveKind::Gemv, Rows(Op(0)), 0, Cols(Op(0)), 0});
+      break;
+    case StepOp::EdgeLogits:
+      Add(1, {PrimitiveKind::EdgeElementwise, Rows(Op(0)), 0, 0, Binding.E});
+      Add(2, {PrimitiveKind::EdgeElementwise, Rows(Op(0)), 0, 0, Binding.E});
+      break;
+    case StepOp::EdgeLeakyRelu:
+      Add(0, {PrimitiveKind::EdgeElementwise, Rows(Op(0)), 0, 0, Binding.E});
+      break;
+    case StepOp::EdgeSoftmax:
+      Add(0, {PrimitiveKind::EdgeSoftmax, Rows(Op(0)), 0, 0, Binding.E});
+      break;
+    }
+  }
+  return Vjps;
+}
+
+PrimitiveDesc granii::cscBuildDesc(int64_t N, int64_t E) {
+  return {PrimitiveKind::EdgeElementwise, N, 0, 0, E};
+}
+
+bool granii::needsCscBuild(const std::vector<VjpStep> &Vjps) {
+  return std::any_of(Vjps.begin(), Vjps.end(), [](const VjpStep &V) {
+    return V.Desc.Kind == PrimitiveKind::SpMMWeighted ||
+           V.Desc.Kind == PrimitiveKind::SpMMUnweighted;
+  });
+}
+
 double CompositionPlan::flopCost(const DimBinding &Binding,
                                  int Iterations) const {
   std::vector<PrimitiveDesc> Descs = primitiveDescs(Binding);

@@ -87,6 +87,17 @@ struct PlanStep {
   bool Setup = false;        ///< graph-only: run once, outside the loop
 };
 
+/// One vector-Jacobian product of a plan's backward pass: step \p Step
+/// sends its result's gradient to its operand number \p Operand.
+struct VjpStep {
+  int Step = -1;
+  int Operand = -1;
+  /// False for the operand's first gradient contribution, which is written
+  /// straight into its accumulator; true when it adds to earlier ones.
+  bool Accumulates = false;
+  PrimitiveDesc Desc; ///< the primitive the VJP is charged as
+};
+
 /// A full candidate composition.
 class CompositionPlan {
 public:
@@ -111,6 +122,16 @@ public:
   /// parallel to Steps.
   std::vector<PrimitiveDesc> primitiveDescs(const DimBinding &Binding) const;
 
+  /// The backward pass under \p Binding, seeded with dL/dOut = 1, in
+  /// execution order (steps in reverse, each step's operands ascending):
+  /// one entry per VJP on a path from the output to a requested leaf. The
+  /// weights and attention vectors are always requested, the features
+  /// only with \p FeatureGrad; graph-only values never get a gradient. The
+  /// executor runs exactly these VJPs and charges each its Desc, and the
+  /// cost models price training from the same list.
+  std::vector<VjpStep> backwardDescs(const DimBinding &Binding,
+                                     bool FeatureGrad = false) const;
+
   /// Total symbolic FLOP cost: setup steps once, per-iteration steps
   /// \p Iterations times. The analytic baseline for pruning and Fig. 3.
   double flopCost(const DimBinding &Binding, int Iterations = 1) const;
@@ -123,6 +144,16 @@ public:
   /// use, single assignment). Aborts on violation.
   void verify() const;
 };
+
+/// The one-time CSC build over \p N rows and \p E edges that a transposed
+/// SpMM VJP (dX = S^T dY) needs before its first run: an O(E) edge map,
+/// charged once as setup rather than per backward pass. One build serves
+/// every sparse value of a plan (they share the adjacency's pattern).
+PrimitiveDesc cscBuildDesc(int64_t N, int64_t E);
+
+/// True when \p Vjps contain a transposed SpMM, i.e. the backward pass pays
+/// cscBuildDesc() once.
+bool needsCscBuild(const std::vector<VjpStep> &Vjps);
 
 } // namespace granii
 

@@ -14,7 +14,8 @@ CostModel::~CostModel() = default;
 
 double CostModel::planSeconds(const CompositionPlan &Plan,
                               const DimBinding &Binding,
-                              const GraphStats &Stats, int Iterations) const {
+                              const GraphStats &Stats, int Iterations,
+                              bool Training) const {
   std::vector<PrimitiveDesc> Descs = Plan.primitiveDescs(Binding);
   double Total = 0.0;
   for (size_t I = 0; I < Plan.Steps.size(); ++I) {
@@ -22,6 +23,22 @@ double CostModel::planSeconds(const CompositionPlan &Plan,
         Plan.Steps[I].Setup ? 1.0 : static_cast<double>(Iterations);
     Total += Mult * primitiveSeconds(Descs[I], Stats);
   }
+  if (Training) {
+    Total += static_cast<double>(Iterations) *
+             backwardSeconds(Plan, Binding, Stats);
+    // A transposed SpMM's CSC build is setup: paid once per session.
+    if (needsCscBuild(Plan.backwardDescs(Binding)))
+      Total += primitiveSeconds(cscBuildDesc(Binding.N, Binding.E), Stats);
+  }
+  return Total;
+}
+
+double CostModel::backwardSeconds(const CompositionPlan &Plan,
+                                  const DimBinding &Binding,
+                                  const GraphStats &Stats) const {
+  double Total = 0.0;
+  for (const VjpStep &V : Plan.backwardDescs(Binding))
+    Total += primitiveSeconds(V.Desc, Stats);
   return Total;
 }
 

@@ -36,9 +36,18 @@ public:
   virtual std::string name() const = 0;
 
   /// Total predicted seconds of a plan over \p Iterations iterations with
-  /// setup steps charged once (the quantity GRANII minimizes online).
+  /// setup steps charged once (the quantity GRANII minimizes online). With
+  /// \p Training set, every iteration also pays backwardSeconds() and the
+  /// session pays cscBuildDesc() once if the backward pass needs it.
   double planSeconds(const CompositionPlan &Plan, const DimBinding &Binding,
-                     const GraphStats &Stats, int Iterations) const;
+                     const GraphStats &Stats, int Iterations,
+                     bool Training = false) const;
+
+  /// Predicted seconds of one backward pass: the plan's backwardDescs(),
+  /// summed in execution order, as the executor charges them.
+  double backwardSeconds(const CompositionPlan &Plan,
+                         const DimBinding &Binding,
+                         const GraphStats &Stats) const;
 };
 
 /// Roofline-based estimates straight from the hardware model.

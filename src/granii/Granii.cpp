@@ -172,11 +172,13 @@ Selection Optimizer::select(const CsrMatrix &AdjSelf,
   }
 
   // Embedding-size conditions first (paper §IV-D): keep only candidates
-  // annotated viable for this size scenario.
+  // annotated viable for this size scenario. The annotations compare
+  // forward costs, so training prices every promoted plan instead.
   bool ScenarioGe = Binding.KIn >= Binding.KOut;
   std::vector<size_t> Candidates;
   for (size_t I = 0; I < Promoted.size(); ++I)
-    if (ScenarioGe ? Promoted[I].ViableGe : Promoted[I].ViableLt)
+    if (Opts.Training ||
+        (ScenarioGe ? Promoted[I].ViableGe : Promoted[I].ViableLt))
       Candidates.push_back(I);
   if (Candidates.empty())
     for (size_t I = 0; I < Promoted.size(); ++I)
@@ -184,8 +186,9 @@ Selection Optimizer::select(const CsrMatrix &AdjSelf,
 
   if (Candidates.size() == 1) {
     Sel.PlanIndex = Candidates.front();
-    Sel.PredictedSeconds = Cost->planSeconds(Promoted[Sel.PlanIndex], Binding,
-                                             Stats, Opts.Iterations);
+    Sel.PredictedSeconds =
+        Cost->planSeconds(Promoted[Sel.PlanIndex], Binding, Stats,
+                          Opts.Iterations, Opts.Training);
     Sel.UsedCostModels = false;
     return Sel;
   }
@@ -198,8 +201,8 @@ Selection Optimizer::select(const CsrMatrix &AdjSelf,
   size_t BestIndex = Candidates.front();
   bool First = true;
   for (size_t Index : Candidates) {
-    double PlanCost =
-        Cost->planSeconds(Promoted[Index], Binding, Stats, Opts.Iterations);
+    double PlanCost = Cost->planSeconds(Promoted[Index], Binding, Stats,
+                                        Opts.Iterations, Opts.Training);
     if (First || PlanCost < BestCost) {
       BestCost = PlanCost;
       BestIndex = Index;

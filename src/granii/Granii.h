@@ -38,6 +38,10 @@ struct OptimizerOptions {
   /// Amortization horizon: how many iterations one selection will serve
   /// (paper evaluates 100).
   int Iterations = 100;
+  /// Selection mode: true prices every iteration as forward + backward
+  /// (CostModel::planSeconds' training mode) over all promoted plans,
+  /// since the forward-only embedding-size annotations do not apply.
+  bool Training = false;
   /// Offline enumeration knobs (ablations flip these).
   EnumOptions Enum;
   /// Vertex-reordering policy applied by execute(): the permuted graph is
@@ -111,9 +115,10 @@ public:
   const std::vector<CompositionPlan> &promoted() const { return Promoted; }
   const PruneStats &pruneStats() const { return Stats; }
 
-  /// Online stage: pick the cheapest promoted candidate for this input.
-  /// Builds the self-loop adjacency and its statistics (featurize time),
-  /// then selects through the overload below.
+  /// Online stage: pick the cheapest promoted candidate for this input,
+  /// in the mode of OptimizerOptions::Training. Builds the self-loop
+  /// adjacency and its statistics (featurize time), then selects through
+  /// the overload below.
   Selection select(const Graph &G, int64_t KIn, int64_t KOut) const;
 
   /// Same, from an already built self-loop adjacency \p AdjSelf and its
@@ -126,7 +131,8 @@ public:
   /// against a workspace cached per (plan, mode): the first execution of a
   /// selection plans and allocates its buffer arena, subsequent ones reuse
   /// it. Because of that cache, execute() is not safe to call concurrently
-  /// from multiple threads on one Optimizer.
+  /// from multiple threads on one Optimizer. Training computes the weight
+  /// and attention gradients only (no dL/dH).
   ExecResult execute(const Selection &Sel, const LayerParams &Params,
                      bool Training) const;
 

@@ -74,7 +74,9 @@ struct SimdOps {
                        int64_t N, int64_t RowBegin, int64_t RowEnd) = nullptr;
 
   /// C rows [RowBegin, RowEnd) of C = A^T * B; C has A.cols() rows and \p M
-  /// is A.rows() (the contraction length).
+  /// is A.rows() (the contraction length). Every level accumulates each
+  /// element over ascending I as a rounded product plus a rounded sum, so
+  /// all tables agree bit for bit.
   void (*GemmTLhsRowRange)(const float *A, int64_t Lda, const float *B,
                            int64_t Ldb, float *C, int64_t Ldc, int64_t M,
                            int64_t N, int64_t RowBegin, int64_t RowEnd) =

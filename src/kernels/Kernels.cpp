@@ -5,7 +5,9 @@
 // element's serial computation is independent of the partition. Results are
 // therefore bitwise-identical at every thread count. Sparse row loops use
 // the nnz-balanced partitioner (parallelForCsrRows) so skewed-degree graphs
-// do not serialize on their hub rows.
+// do not serialize on their hub rows. The A^T * B kernel instead owns
+// contraction chunks fixed by the input size, each with its own partial
+// buffer, and sums the partials in a fixed order.
 //
 // Destination-passing contract: every kernel writes into a caller-provided
 // destination, never allocates, and fully overwrites every destination
@@ -103,21 +105,61 @@ void kernels::gemmInto(const DenseMatrix &A, const DenseMatrix &B,
 }
 // granii-noalloc-end
 
+namespace {
+
+/// Contraction-row chunks of an M-row A^T * B with a K x N product: depends
+/// on the shapes alone, and (Chunks - 1) * K * N stays within the budget.
+int64_t gemmTLhsChunkCount(int64_t M, int64_t K, int64_t N) {
+  const int64_t ByBudget =
+      GemmTransposedLhsPartialBudget / std::max<int64_t>(K * N, 1) + 1;
+  return std::clamp<int64_t>(
+      std::min(M / GemmTransposedLhsMinChunkRows, ByBudget), 1,
+      GemmTransposedLhsChunks);
+}
+
+} // namespace
+
+size_t kernels::gemmTransposedLhsPartialFloats(int64_t M, int64_t K,
+                                               int64_t N) {
+  return static_cast<size_t>((gemmTLhsChunkCount(M, K, N) - 1) * K * N);
+}
+
 void kernels::gemmTransposedLhsInto(const DenseMatrix &A, const DenseMatrix &B,
-                                    DenseMatrix &Dst) {
+                                    DenseMatrix &Dst,
+                                    std::span<float> Partials) {
   GRANII_CHECK(A.rows() == B.rows(), "A^T*B dimension mismatch");
   checkDenseDst(Dst, A.cols(), B.cols(), "gemm_t_lhs");
-  const int64_t M = A.rows(), N = B.cols();
-  // Parallel over *output* rows (columns of A): the scatter formulation
-  // (outer loop over A's rows) would race on C. The per-output-row update
-  // order over I is identical to the serial kernel, so results match
-  // bitwise at every thread count.
+  const int64_t M = A.rows(), K = A.cols(), N = B.cols();
+  const int64_t Chunks = gemmTLhsChunkCount(M, K, N);
+  GRANII_CHECK(Partials.size() >= gemmTransposedLhsPartialFloats(M, K, N),
+               "gemm_t_lhs partials buffer too small");
+  // Chunk C covers rows [C*M/Chunks, (C+1)*M/Chunks): a partition fixed by
+  // the shapes, so no thread count moves a row into another chunk. One chunk's rows
+  // of A and B stay cache-resident while its K x N partial accumulates,
+  // instead of both operands streaming from memory per block of C rows.
+  const int64_t Block = K * N;
+  auto PartialOf = [&](int64_t C) {
+    return C == 0 ? Dst.data() : Partials.data() + (C - 1) * Block;
+  };
   const SimdOps &Ops = simdOps();
-  parallelFor(0, A.cols(), rowGrain(M * N),
-              [&](int64_t RowBegin, int64_t RowEnd) {
-                Ops.GemmTLhsRowRange(A.data(), A.cols(), B.data(), N,
-                                     Dst.data(), N, M, N, RowBegin, RowEnd);
+  parallelFor(0, Chunks, rowGrain(M / Chunks * Block),
+              [&](int64_t ChunkBegin, int64_t ChunkEnd) {
+                for (int64_t C = ChunkBegin; C < ChunkEnd; ++C) {
+                  const int64_t Begin = C * M / Chunks;
+                  const int64_t End = (C + 1) * M / Chunks;
+                  Ops.GemmTLhsRowRange(A.data() + Begin * K, K,
+                                       B.data() + Begin * N, N, PartialOf(C),
+                                       N, End - Begin, N, 0, K);
+                }
               });
+  if (Chunks == 1)
+    return;
+  // Fixed-order reduction: each element adds the partials in chunk order.
+  parallelFor(0, Block, DenseGrainOps, [&](int64_t Begin, int64_t End) {
+    float *Out = Dst.data() + Begin;
+    for (int64_t C = 1; C < Chunks; ++C)
+      Ops.AddRange(Out, PartialOf(C) + Begin, Out, End - Begin);
+  });
 }
 
 void kernels::gemmTransposedRhsInto(const DenseMatrix &A, const DenseMatrix &B,
@@ -236,6 +278,16 @@ void kernels::reluBackwardInto(const DenseMatrix &Pre, const DenseMatrix &Grad,
   parallelFor(0, Pre.size(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
     for (int64_t I = Begin; I < End; ++I)
       PO[I] = PP[I] > 0.0f ? PG[I] : 0.0f;
+  });
+}
+
+void kernels::reluMaskInto(const DenseMatrix &Pre, DenseMatrix &Dst) {
+  checkDenseDst(Dst, Pre.rows(), Pre.cols(), "relu_mask");
+  const float *PP = Pre.data();
+  float *PO = Dst.data();
+  parallelFor(0, Pre.size(), DenseGrainOps, [&](int64_t Begin, int64_t End) {
+    for (int64_t I = Begin; I < End; ++I)
+      PO[I] = PP[I] > 0.0f ? 1.0f : 0.0f;
   });
 }
 

@@ -50,9 +50,31 @@ namespace kernels {
 /// A.rows() x B.cols().
 void gemmInto(const DenseMatrix &A, const DenseMatrix &B, DenseMatrix &Dst);
 
-/// C = A^T * B into \p Dst (A.cols() x B.cols()).
+/// Contraction-row chunks of gemmTransposedLhsInto for large inputs: a
+/// fixed count, independent of the thread count. Smaller inputs use one
+/// chunk per GemmTransposedLhsMinChunkRows rows (at least one chunk), and
+/// wide outputs only as many chunks as keep the partials buffer within
+/// GemmTransposedLhsPartialBudget floats (16 MiB).
+inline constexpr int64_t GemmTransposedLhsChunks = 64;
+inline constexpr int64_t GemmTransposedLhsMinChunkRows = 128;
+inline constexpr int64_t GemmTransposedLhsPartialBudget = int64_t{1} << 22;
+
+/// Floats of the partials buffer gemmTransposedLhsInto needs for an
+/// \p M x \p K lhs and an \p M x \p N rhs.
+size_t gemmTransposedLhsPartialFloats(int64_t M, int64_t K, int64_t N);
+
+/// C = A^T * B into \p Dst (A.cols() x B.cols()): the weight gradient
+/// dW = H^T dY. The M = A.rows() contraction rows split into
+/// contiguous chunks, a count fixed by the shapes alone (see
+/// GemmTransposedLhsChunks); each chunk's partial
+/// product is written (chunk 0 into \p Dst, the others into \p Partials,
+/// which needs gemmTransposedLhsPartialFloats(...) floats) and the partials
+/// are summed in chunk order. Every partial accumulates its rows in
+/// ascending order as a rounded product plus a rounded sum, never an FMA,
+/// so the result is bitwise identical at every thread count and every ISA
+/// level.
 void gemmTransposedLhsInto(const DenseMatrix &A, const DenseMatrix &B,
-                           DenseMatrix &Dst);
+                           DenseMatrix &Dst, std::span<float> Partials);
 
 /// C = A * B^T into \p Dst (A.rows() x B.rows()).
 void gemmTransposedRhsInto(const DenseMatrix &A, const DenseMatrix &B,
@@ -89,6 +111,11 @@ void reluInto(const DenseMatrix &A, DenseMatrix &Dst);
 /// backward pass's helper).
 void reluBackwardInto(const DenseMatrix &Pre, const DenseMatrix &Grad,
                       DenseMatrix &Dst);
+
+/// Derivative mask of ReLU at \p Pre into \p Dst (1 where Pre > 0, else
+/// 0): reluBackwardInto for an all-ones upstream gradient, which it
+/// equals bit for bit without reading one.
+void reluMaskInto(const DenseMatrix &Pre, DenseMatrix &Dst);
 
 //===----------------------------------------------------------------------===//
 // Sparse primitives (generalized per paper §II-B)

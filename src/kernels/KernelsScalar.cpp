@@ -4,7 +4,9 @@
 // are the original scalar inner loops of Kernels.cpp, kept verbatim (zero
 // skips, accumulation order, mul-then-add arithmetic — no FMA contraction)
 // so GRANII_ISA=scalar reproduces the pre-SIMD library bitwise on every
-// platform and gives the sanitizer jobs a portable leg to pin.
+// platform and gives the sanitizer jobs a portable leg to pin. The one
+// exception is A^T * B, whose chunked form must match the vector tables
+// bit for bit instead.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,10 +43,10 @@ void gemmTLhsRowRange(const float *A, int64_t Lda, const float *B,
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     float *CRow = C + R * Ldc;
     std::fill(CRow, CRow + N, 0.0f);
+    // No zero skip: the vector tables add every product, and a skipped
+    // 0 * inf would leave them a NaN this table does not have.
     for (int64_t I = 0; I < M; ++I) {
       float AVal = A[I * Lda + R];
-      if (AVal == 0.0f)
-        continue;
       const float *BRow = B + I * Ldb;
       for (int64_t J = 0; J < N; ++J)
         CRow[J] += AVal * BRow[J];

@@ -110,6 +110,16 @@ void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
 // C = A^T * B over C's rows (columns of A)
 //===----------------------------------------------------------------------===//
 
+/// \p P with its rounding pinned: the empty asm hides where the value came
+/// from, so the compiler cannot contract the following add into an FMA.
+template <class V> inline V rounded(V P) {
+  __asm__("" : "+v"(P));
+  return P;
+}
+
+/// Unlike the other GEMMs, every element accumulates over I as a rounded
+/// product plus a rounded sum (no FMA), the scalar table's arithmetic, so
+/// A^T * B agrees bit for bit across ISA levels (Kernels.h).
 template <class T, int MR>
 void gemmTLhsBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
                    float *C, int64_t Ldc, int64_t M, int64_t N, int64_t R0) {
@@ -129,8 +139,8 @@ void gemmTLhsBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
       const float *ACol = A + I * Lda + R0;
       for (int R = 0; R < MR; ++R) {
         Vec AV = T::set1(ACol[R]);
-        Acc[R][0] = T::fma(AV, B0, Acc[R][0]);
-        Acc[R][1] = T::fma(AV, B1, Acc[R][1]);
+        Acc[R][0] = T::add(Acc[R][0], rounded(T::mul(AV, B0)));
+        Acc[R][1] = T::add(Acc[R][1], rounded(T::mul(AV, B1)));
       }
     }
     for (int R = 0; R < MR; ++R) {
@@ -147,7 +157,7 @@ void gemmTLhsBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
       Vec BV = T::load(B + I * Ldb + J);
       const float *ACol = A + I * Lda + R0;
       for (int R = 0; R < MR; ++R)
-        Acc[R] = T::fma(T::set1(ACol[R]), BV, Acc[R]);
+        Acc[R] = T::add(Acc[R], rounded(T::mul(T::set1(ACol[R]), BV)));
     }
     for (int R = 0; R < MR; ++R)
       T::store(C + (R0 + R) * Ldc + J, Acc[R]);
@@ -156,7 +166,7 @@ void gemmTLhsBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
     for (int R = 0; R < MR; ++R) {
       float Acc = 0.0f;
       for (int64_t I = 0; I < M; ++I)
-        Acc = std::fma(A[I * Lda + R0 + R], B[I * Ldb + J], Acc);
+        Acc += rounded(A[I * Lda + R0 + R] * B[I * Ldb + J]);
       C[(R0 + R) * Ldc + J] = Acc;
     }
   }

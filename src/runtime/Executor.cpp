@@ -63,26 +63,6 @@ DimBinding LayerInputs::binding(const CompositionPlan *Plan) const {
 
 namespace {
 
-/// Values that transitively depend on learned parameters or features, i.e.
-/// the ones the backward pass must reach.
-std::vector<bool> gradPath(const CompositionPlan &Plan) {
-  std::vector<bool> Need(Plan.Values.size(), false);
-  for (size_t V = 0; V < Plan.Values.size(); ++V) {
-    const PlanValue &Val = Plan.Values[V];
-    if (Val.InputRole && *Val.InputRole != LeafRole::Adjacency &&
-        *Val.InputRole != LeafRole::DegreeNorm &&
-        *Val.InputRole != LeafRole::DegreeInv)
-      Need[V] = true;
-  }
-  for (const PlanStep &Step : Plan.Steps) {
-    bool Any = false;
-    for (int Id : Step.Operands)
-      Any |= Need[static_cast<size_t>(Id)];
-    Need[static_cast<size_t>(Step.Result)] = Any;
-  }
-  return Need;
-}
-
 /// True for values the interpreter binds as plain float vectors (the
 /// attention vectors are K_out x 1 leaves but bind as node vectors).
 bool bindsAsVector(const PlanValue &Def) {
@@ -95,14 +75,17 @@ bool bindsAsVector(const PlanValue &Def) {
 } // namespace
 
 void PlanWorkspace::configure(const CompositionPlan &PlanIn,
-                              const DimBinding &B, bool TrainingIn) {
+                              const DimBinding &B, bool TrainingIn,
+                              bool FeatureGradIn) {
+  FeatureGradIn &= TrainingIn;
   if (Buffers && Plan == &PlanIn && Training == TrainingIn &&
-      Binding.N == B.N && Binding.KIn == B.KIn && Binding.KOut == B.KOut &&
-      Binding.E == B.E)
+      FeatureGrad == FeatureGradIn && Binding.N == B.N &&
+      Binding.KIn == B.KIn && Binding.KOut == B.KOut && Binding.E == B.E)
     return;
   Plan = &PlanIn;
   Binding = B;
   Training = TrainingIn;
+  FeatureGrad = FeatureGradIn;
   Buffers.emplace(PlanIn, B, TrainingIn);
   Descs = PlanIn.primitiveDescs(B);
   // Presize every slot to its planned capacity so the first run's resizes
@@ -124,32 +107,51 @@ void PlanWorkspace::configure(const CompositionPlan &PlanIn,
   if (!TrainingIn)
     return;
 
-  // Backward storage: an accumulator for every value the backward pass
-  // reaches (and the seeded output), a dense scratch term as large as the
-  // largest of them, and a per-edge scratch term.
+  // Backward storage: an accumulator for every value the schedule reaches
+  // (and the stored seed), scratch terms only as large as the accumulating
+  // VJPs need, and the largest weight-gradient GEMM's partials.
   const size_t NumValues = PlanIn.Values.size();
-  Grads.Need = gradPath(PlanIn);
-  Grads.Present.assign(NumValues, 0);
+  Grads.Schedule = PlanIn.backwardDescs(B, FeatureGradIn);
+  Grads.ImplicitSeed = !PlanIn.Steps.empty() &&
+                       PlanIn.Steps.back().Result == PlanIn.OutputValue &&
+                       PlanIn.Steps.back().Op == StepOp::Relu;
+  Grads.Reached.assign(NumValues, false);
   Grads.Dense.resize(NumValues);
   Grads.Vec.resize(NumValues);
-  size_t ScratchCap = 0;
-  for (size_t V = 0; V < NumValues; ++V) {
-    if (!Grads.Need[V] && static_cast<int>(V) != PlanIn.OutputValue)
-      continue;
-    const PlanValue &Def = PlanIn.Values[V];
-    const auto Rows = static_cast<size_t>(B.eval(Def.Shape.Rows));
+  auto Floats = [&](int Id) {
+    const PlanValue &Def = PlanIn.Values[static_cast<size_t>(Id)];
+    return static_cast<size_t>(B.eval(Def.Shape.Rows) *
+                               B.eval(Def.Shape.Cols));
+  };
+  size_t ScratchCap = 0, EdgeScratchCap = 0, PartialsCap = 0;
+  if (!Grads.Schedule.empty() && !Grads.ImplicitSeed)
+    Grads.Dense[static_cast<size_t>(PlanIn.OutputValue)].reserveFloats(
+        Floats(PlanIn.OutputValue));
+  for (const VjpStep &V : Grads.Schedule) {
+    const PlanStep &Step = PlanIn.Steps[static_cast<size_t>(V.Step)];
+    const int Id = Step.Operands[static_cast<size_t>(V.Operand)];
+    const PlanValue &Def = PlanIn.Values[static_cast<size_t>(Id)];
+    Grads.Reached[static_cast<size_t>(Id)] = true;
     if (Def.Kind == PlanValueKind::Sparse) {
-      Grads.Vec[V].reserve(static_cast<size_t>(B.E));
-      Grads.EdgeScratch.reserve(static_cast<size_t>(B.E));
+      Grads.Vec[static_cast<size_t>(Id)].reserve(static_cast<size_t>(B.E));
+      if (V.Accumulates)
+        EdgeScratchCap = static_cast<size_t>(B.E);
     } else if (bindsAsVector(Def)) {
-      Grads.Vec[V].reserve(Rows);
+      Grads.Vec[static_cast<size_t>(Id)].reserve(
+          static_cast<size_t>(B.eval(Def.Shape.Rows)));
     } else {
-      const size_t Floats = Rows * static_cast<size_t>(B.eval(Def.Shape.Cols));
-      Grads.Dense[V].reserveFloats(Floats);
-      ScratchCap = std::max(ScratchCap, Floats);
+      Grads.Dense[static_cast<size_t>(Id)].reserveFloats(Floats(Id));
+      if (V.Accumulates)
+        ScratchCap = std::max(ScratchCap, Floats(Id));
     }
+    if (Step.Op == StepOp::Gemm && V.Operand == 1)
+      PartialsCap = std::max(
+          PartialsCap, kernels::gemmTransposedLhsPartialFloats(
+                           V.Desc.Inner, V.Desc.Rows, V.Desc.Cols));
   }
   Grads.Scratch.reserveFloats(ScratchCap);
+  Grads.EdgeScratch.reserve(EdgeScratchCap);
+  Grads.Partials.reserve(PartialsCap);
 }
 
 DenseMatrix &PlanWorkspace::fit(DenseMatrix &M, int64_t Rows, int64_t Cols) {
@@ -314,9 +316,11 @@ public:
         Values(Ws.scratch()), Sparse(Sparse) {}
 
   void forward(ExecResult &Result);
-  /// Runs the backward pass and exports the gradients into \p Result; a
-  /// non-null \p FeaturePerm is the reordering the forward pass ran under.
-  void backward(ExecResult &Result, const Permutation *FeaturePerm);
+  /// Runs the workspace's backward schedule and exports the gradients into
+  /// \p Result (the feature gradient only with \p FeatureGrad); a non-null
+  /// \p FeaturePerm is the reordering the forward pass ran under.
+  void backward(ExecResult &Result, bool FeatureGrad,
+                const Permutation *FeaturePerm);
 
 private:
   void bindInput(size_t Id, const PlanValue &Def);
@@ -347,7 +351,7 @@ private:
     return Exec.timeKernel(Ws.descs()[StepIdx], Stats, Body);
   }
 
-  /// Charges an ad-hoc backward primitive.
+  /// Charges a backward primitive.
   double chargeDesc(const PrimitiveDesc &Desc, FunctionRef<void()> Body) {
     return Exec.timeKernel(Desc, Stats, Body);
   }
@@ -622,57 +626,48 @@ void PlanInterpreter::forward(ExecResult &Result) {
   Result.Output = Out.dense();
 }
 
-void PlanInterpreter::backward(ExecResult &Result,
+void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
                                const Permutation *FeaturePerm) {
   TraceSpan Span("backward", "executor");
   detail::GradState &GS = Ws.gradState();
-  std::fill(GS.Present.begin(), GS.Present.end(), 0);
 
-  // Accumulators of value Id, zeroed on their first touch in this run.
-  auto AccDense = [&](int Id) -> DenseMatrix & {
-    const auto V = static_cast<size_t>(Id);
-    const DenseMatrix &Val = Values[V].dense();
-    DenseMatrix &Acc = Ws.fit(GS.Dense[V], Val.rows(), Val.cols());
-    if (!GS.Present[V])
-      Acc.fill(0.0f);
-    GS.Present[V] = 1;
-    return Acc;
+  // The gradient of value Id, shaped like the value.
+  auto GradDense = [&](int Id) -> DenseMatrix & {
+    const DenseMatrix &Val = Values[static_cast<size_t>(Id)].dense();
+    return Ws.fit(GS.Dense[static_cast<size_t>(Id)], Val.rows(), Val.cols());
   };
-  auto AccVec = [&](int Id, size_t Size) -> std::vector<float> & {
-    const auto V = static_cast<size_t>(Id);
-    std::vector<float> &Acc = Ws.fit(GS.Vec[V], Size);
-    if (!GS.Present[V])
-      std::fill(Acc.begin(), Acc.end(), 0.0f);
-    GS.Present[V] = 1;
-    return Acc;
+  auto GradVec = [&](int Id) -> std::vector<float> & {
+    const RtValue &Val = Values[static_cast<size_t>(Id)];
+    size_t Size = Val.Kind == PlanValueKind::Sparse
+                      ? static_cast<size_t>(Val.sparse().nnz())
+                      : Val.vec().size();
+    return Ws.fit(GS.Vec[static_cast<size_t>(Id)], Size);
   };
-  auto AccNodeVec = [&](int Id) -> std::vector<float> & {
-    return AccVec(Id, Values[static_cast<size_t>(Id)].vec().size());
-  };
-  auto AccEdge = [&](int Id) -> std::vector<float> & {
-    const CsrMatrix &Val = Values[static_cast<size_t>(Id)].sparse();
-    return AccVec(Id, static_cast<size_t>(Val.nnz()));
-  };
-  // One VJP term, written in full before it is accumulated.
-  auto Term = [&](int64_t Rows, int64_t Cols) -> DenseMatrix & {
-    return Ws.fit(GS.Scratch, Rows, Cols);
+  // Runs a dense VJP kernel into the gradient of Id: straight into the
+  // accumulator on its first contribution, else through the scratch term.
+  auto IntoGrad = [&](int Id, bool Accumulates, auto &&Kernel) {
+    DenseMatrix &G = GradDense(Id);
+    if (!Accumulates) {
+      Kernel(G);
+      return;
+    }
+    DenseMatrix &Term = Ws.fit(GS.Scratch, G.rows(), G.cols());
+    Kernel(Term);
+    kernels::axpyInto(1.0f, Term, G);
   };
 
-  // Seed dL/dOut = 1.
-  AccDense(Plan.OutputValue).fill(1.0f);
+  // Seed dL/dOut = 1, unless the output relu's VJP reads it implicitly.
+  if (!GS.Schedule.empty() && !GS.ImplicitSeed)
+    GradDense(Plan.OutputValue).fill(1.0f);
 
   double Backward = 0.0;
-  for (size_t SI = Plan.Steps.size(); SI-- > 0;) {
-    const PlanStep &Step = Plan.Steps[SI];
+  for (const VjpStep &V : GS.Schedule) {
+    const PlanStep &Step = Plan.Steps[static_cast<size_t>(V.Step)];
     const auto Res = static_cast<size_t>(Step.Result);
-    if (!GS.Present[Res])
-      continue;
+    const int Id = Step.Operands[static_cast<size_t>(V.Operand)];
+    const bool Acc = V.Accumulates;
     const DenseMatrix &DY = GS.Dense[Res];      // dense results
     const std::vector<float> &DYv = GS.Vec[Res]; // vector and edge results
-    auto OpId = [&](int I) { return Step.Operands[I]; };
-    auto NeedOp = [&](int I) {
-      return GS.Need[static_cast<size_t>(Step.Operands[I])];
-    };
     auto OpVal = [&](int I) -> const RtValue & {
       return Values[static_cast<size_t>(Step.Operands[I])];
     };
@@ -681,225 +676,204 @@ void PlanInterpreter::backward(ExecResult &Result,
     case StepOp::Gemm: {
       const DenseMatrix &A = OpVal(0).dense();
       const DenseMatrix &B = OpVal(1).dense();
-      if (NeedOp(0)) {
-        PrimitiveDesc D{PrimitiveKind::Gemm, A.rows(), A.cols(), B.cols(), 0};
-        Backward += chargeDesc(D, [&] {
-          DenseMatrix &DA = Term(A.rows(), A.cols());
-          kernels::gemmTransposedRhsInto(DY, B, DA);
-          kernels::axpyInto(1.0f, DA, AccDense(OpId(0)));
+      Backward += chargeDesc(V.Desc, [&] {
+        if (V.Operand == 0) {
+          IntoGrad(Id, Acc, [&](DenseMatrix &DA) {
+            kernels::gemmTransposedRhsInto(DY, B, DA);
+          });
+          return;
+        }
+        std::vector<float> &Partials = Ws.fit(
+            GS.Partials, kernels::gemmTransposedLhsPartialFloats(
+                             A.rows(), A.cols(), DY.cols()));
+        IntoGrad(Id, Acc, [&](DenseMatrix &DB) {
+          kernels::gemmTransposedLhsInto(A, DY, DB, Partials);
         });
-      }
-      if (NeedOp(1)) {
-        PrimitiveDesc D{PrimitiveKind::Gemm, A.cols(), B.cols(), A.rows(), 0};
-        Backward += chargeDesc(D, [&] {
-          DenseMatrix &DB = Term(A.cols(), DY.cols());
-          kernels::gemmTransposedLhsInto(A, DY, DB);
-          kernels::axpyInto(1.0f, DB, AccDense(OpId(1)));
-        });
-      }
+      });
       break;
     }
     case StepOp::SpmmWeighted:
     case StepOp::SpmmUnweighted: {
       const CsrMatrix &S = OpVal(0).sparse();
       const DenseMatrix &X = OpVal(1).dense();
-      if (NeedOp(1)) {
-        // dX += S^T dY, walked through a CSC view of S (the shard blocks'
-        // CSC slices when sharded) instead of re-materializing a transposed
-        // CSR every step. The one-time CSC build is an O(E) edge map.
-        if (!Sparse.transposeReady()) {
-          PrimitiveDesc TD{PrimitiveKind::EdgeElementwise, S.rows(), 0, 0,
-                           S.nnz()};
-          Backward += chargeDesc(TD, [&] { Sparse.buildTranspose(); });
-        }
-        PrimitiveDesc D{Step.Op == StepOp::SpmmWeighted
-                            ? PrimitiveKind::SpMMWeighted
-                            : PrimitiveKind::SpMMUnweighted,
-                        S.cols(), X.cols(), 0, S.nnz()};
-        Backward += chargeDesc(D, [&] {
-          DenseMatrix &DX = Term(S.cols(), DY.cols());
-          Sparse.spmmTransposedInto(S, DY, semiringOf(Step.Op), DX);
-          kernels::axpyInto(1.0f, DX, AccDense(OpId(1)));
-        });
-      }
-      if (NeedOp(0)) {
-        // dS_ij += dY_i . X_j (SDDMM at the sparse pattern).
-        PrimitiveDesc D{PrimitiveKind::SddmmDot, S.rows(), 0, X.cols(),
-                        S.nnz()};
-        Backward += chargeDesc(D, [&] {
-          std::vector<float> &DS =
-              Ws.fit(GS.EdgeScratch, static_cast<size_t>(S.nnz()));
-          kernels::sddmmInto(S, DY, X, Semiring::plusTimes(), DS);
-          std::vector<float> &Acc = AccEdge(OpId(0));
+      if (V.Operand == 0) {
+        // dS_ij = dY_i . X_j (SDDMM at the sparse pattern).
+        Backward += chargeDesc(V.Desc, [&] {
+          std::vector<float> &DS = GradVec(Id);
+          if (!Acc) {
+            kernels::sddmmInto(S, DY, X, Semiring::plusTimes(), DS);
+            return;
+          }
+          std::vector<float> &Term = Ws.fit(GS.EdgeScratch, DS.size());
+          kernels::sddmmInto(S, DY, X, Semiring::plusTimes(), Term);
           for (size_t I = 0; I < DS.size(); ++I)
-            Acc[I] += DS[I];
+            DS[I] += Term[I];
         });
+        break;
       }
+      // dX = S^T dY, walked through a CSC view of S (the shard blocks' CSC
+      // slices when sharded) instead of re-materializing a transposed CSR
+      // every step. The CSC build is a one-time O(E) edge map: setup.
+      if (!Sparse.transposeReady()) {
+        Result.SetupSeconds += chargeDesc(cscBuildDesc(S.rows(), S.nnz()),
+                                          [&] { Sparse.buildTranspose(); });
+      }
+      Backward += chargeDesc(V.Desc, [&] {
+        IntoGrad(Id, Acc, [&](DenseMatrix &DX) {
+          Sparse.spmmTransposedInto(S, DY, semiringOf(Step.Op), DX);
+        });
+      });
       break;
     }
-    case StepOp::SddmmScaleRow:
-    case StepOp::SddmmScaleCol:
-    case StepOp::SddmmScaleBoth:
-      // Scale operands are graph-only (normalization); no parameters can
-      // sit behind them in the evaluated models.
-      break;
     case StepOp::RowBcast: {
-      if (NeedOp(1)) {
-        const std::vector<float> &Dv = OpVal(0).vec();
-        PrimitiveDesc D{PrimitiveKind::RowBroadcast, DY.rows(), DY.cols(), 0,
-                        0};
-        Backward += chargeDesc(D, [&] {
-          DenseMatrix &DH = Term(DY.rows(), DY.cols());
+      const std::vector<float> &Dv = OpVal(0).vec();
+      Backward += chargeDesc(V.Desc, [&] {
+        IntoGrad(Id, Acc, [&](DenseMatrix &DH) {
           kernels::rowBroadcastMulInto(Dv, DY, DH);
-          kernels::axpyInto(1.0f, DH, AccDense(OpId(1)));
         });
-      }
+      });
       break;
     }
     case StepOp::ColBcast: {
-      if (NeedOp(0)) {
-        const std::vector<float> &Dv = OpVal(1).vec();
-        PrimitiveDesc D{PrimitiveKind::ColBroadcast, DY.rows(), DY.cols(), 0,
-                        0};
-        Backward += chargeDesc(D, [&] {
-          DenseMatrix &DH = Term(DY.rows(), DY.cols());
+      const std::vector<float> &Dv = OpVal(1).vec();
+      Backward += chargeDesc(V.Desc, [&] {
+        IntoGrad(Id, Acc, [&](DenseMatrix &DH) {
           kernels::colBroadcastMulInto(DY, Dv, DH);
-          kernels::axpyInto(1.0f, DH, AccDense(OpId(0)));
         });
-      }
+      });
       break;
     }
-    case StepOp::DiagDiag:
-    case StepOp::DegreeOffsets:
-    case StepOp::DegreeBinning:
-    case StepOp::InvSqrtVec:
-    case StepOp::InvVec:
-      break; // Graph-only.
-    case StepOp::AddDense: {
-      PrimitiveDesc D{PrimitiveKind::AddDense, DY.rows(), DY.cols(), 0, 0};
-      for (int I = 0; I < 2; ++I)
-        if (NeedOp(I))
-          Backward += chargeDesc(
-              D, [&] { kernels::axpyInto(1.0f, DY, AccDense(OpId(I))); });
-      break;
-    }
+    case StepOp::AddDense:
     case StepOp::ScaleDense: {
-      if (NeedOp(0)) {
-        PrimitiveDesc D{PrimitiveKind::DenseMap, DY.rows(), DY.cols(), 0, 0};
-        Backward += chargeDesc(D, [&] {
-          kernels::axpyInto(static_cast<float>(Step.Param), DY,
-                            AccDense(OpId(0)));
-        });
-      }
+      const float Alpha =
+          Step.Op == StepOp::AddDense ? 1.0f : static_cast<float>(Step.Param);
+      Backward += chargeDesc(V.Desc, [&] {
+        DenseMatrix &G = GradDense(Id);
+        if (Acc)
+          kernels::axpyInto(Alpha, DY, G);
+        else
+          kernels::scaleMatrixInto(DY, Alpha, G);
+      });
       break;
     }
     case StepOp::Relu: {
-      if (NeedOp(0)) {
-        PrimitiveDesc D{PrimitiveKind::DenseMap, DY.rows(), DY.cols(), 0, 0};
-        Backward += chargeDesc(D, [&] {
-          DenseMatrix &DI = Term(DY.rows(), DY.cols());
-          kernels::reluBackwardInto(OpVal(0).dense(), DY, DI);
-          kernels::axpyInto(1.0f, DI, AccDense(OpId(0)));
+      const DenseMatrix &Pre = OpVal(0).dense();
+      const bool Seed = GS.ImplicitSeed && Step.Result == Plan.OutputValue;
+      Backward += chargeDesc(V.Desc, [&] {
+        IntoGrad(Id, Acc, [&](DenseMatrix &DI) {
+          if (Seed)
+            kernels::reluMaskInto(Pre, DI);
+          else
+            kernels::reluBackwardInto(Pre, DY, DI);
         });
-      }
+      });
       break;
     }
     case StepOp::AttnGemv: {
       const DenseMatrix &Theta = OpVal(0).dense();
       const std::vector<float> &AVec = OpVal(1).vec();
-      if (NeedOp(0)) {
-        PrimitiveDesc D{PrimitiveKind::Gemm, Theta.rows(), Theta.cols(), 1, 0};
-        Backward += chargeDesc(D, [&] {
-          DenseMatrix &DTheta = AccDense(OpId(0));
+      if (V.Operand == 0) {
+        // dTheta_rc = dy_r * a_c.
+        Backward += chargeDesc(V.Desc, [&] {
+          DenseMatrix &DTheta = GradDense(Id);
           for (int64_t R = 0; R < Theta.rows(); ++R) {
             float G = DYv[static_cast<size_t>(R)];
-            if (G == 0.0f)
-              continue;
             float *Row = DTheta.rowPtr(R);
-            for (int64_t C = 0; C < Theta.cols(); ++C)
-              Row[C] += G * AVec[static_cast<size_t>(C)];
+            if (!Acc && G == 0.0f)
+              std::fill(Row, Row + Theta.cols(), 0.0f);
+            else if (!Acc)
+              for (int64_t C = 0; C < Theta.cols(); ++C)
+                Row[C] = G * AVec[static_cast<size_t>(C)];
+            else if (G != 0.0f)
+              for (int64_t C = 0; C < Theta.cols(); ++C)
+                Row[C] += G * AVec[static_cast<size_t>(C)];
           }
         });
+        break;
       }
-      if (NeedOp(1)) {
-        PrimitiveDesc D{PrimitiveKind::Gemv, Theta.rows(), 0, Theta.cols(), 0};
-        Backward += chargeDesc(D, [&] {
-          std::vector<float> &DA = AccNodeVec(OpId(1));
-          for (int64_t R = 0; R < Theta.rows(); ++R) {
-            float G = DYv[static_cast<size_t>(R)];
-            const float *Row = Theta.rowPtr(R);
-            for (int64_t C = 0; C < Theta.cols(); ++C)
-              DA[static_cast<size_t>(C)] += G * Row[C];
-          }
-        });
-      }
+      // da_c = sum_r dy_r * Theta_rc.
+      Backward += chargeDesc(V.Desc, [&] {
+        std::vector<float> &DA = GradVec(Id);
+        if (!Acc)
+          std::fill(DA.begin(), DA.end(), 0.0f);
+        for (int64_t R = 0; R < Theta.rows(); ++R) {
+          float G = DYv[static_cast<size_t>(R)];
+          const float *Row = Theta.rowPtr(R);
+          for (int64_t C = 0; C < Theta.cols(); ++C)
+            DA[static_cast<size_t>(C)] += G * Row[C];
+        }
+      });
       break;
     }
     case StepOp::EdgeLogits: {
       const CsrMatrix &Mask = OpVal(0).sparse();
       const auto &Offsets = Mask.rowOffsets();
       const auto &Cols = Mask.colIndices();
-      PrimitiveDesc D{PrimitiveKind::EdgeElementwise, Mask.rows(), 0, 0,
-                      Mask.nnz()};
-      if (NeedOp(1)) {
-        Backward += chargeDesc(D, [&] {
-          std::vector<float> &DSrc = AccNodeVec(OpId(1));
-          for (int64_t R = 0; R < Mask.rows(); ++R)
+      Backward += chargeDesc(V.Desc, [&] {
+        std::vector<float> &D = GradVec(Id);
+        if (V.Operand == 1) {
+          // dsrc_i = sum of row i's edge gradients.
+          for (int64_t R = 0; R < Mask.rows(); ++R) {
+            float Sum = Acc ? D[static_cast<size_t>(R)] : 0.0f;
             for (int64_t K = Offsets[static_cast<size_t>(R)];
                  K < Offsets[static_cast<size_t>(R) + 1]; ++K)
-              DSrc[static_cast<size_t>(R)] += DYv[static_cast<size_t>(K)];
-        });
-      }
-      if (NeedOp(2)) {
-        Backward += chargeDesc(D, [&] {
-          std::vector<float> &DDst = AccNodeVec(OpId(2));
-          for (int64_t K = 0; K < Mask.nnz(); ++K)
-            DDst[static_cast<size_t>(Cols[static_cast<size_t>(K)])] +=
-                DYv[static_cast<size_t>(K)];
-        });
-      }
+              Sum += DYv[static_cast<size_t>(K)];
+            D[static_cast<size_t>(R)] = Sum;
+          }
+          return;
+        }
+        // ddst_j = sum of column j's edge gradients.
+        if (!Acc)
+          std::fill(D.begin(), D.end(), 0.0f);
+        for (int64_t K = 0; K < Mask.nnz(); ++K)
+          D[static_cast<size_t>(Cols[static_cast<size_t>(K)])] +=
+              DYv[static_cast<size_t>(K)];
+      });
       break;
     }
     case StepOp::EdgeLeakyRelu: {
-      if (NeedOp(0)) {
-        const CsrMatrix &In = OpVal(0).sparse();
-        PrimitiveDesc D{PrimitiveKind::EdgeElementwise, In.rows(), 0, 0,
-                        In.nnz()};
-        Backward += chargeDesc(D, [&] {
-          std::vector<float> &DIn = AccEdge(OpId(0));
-          const AlignedVector<float> &Pre = In.values();
-          float Slope = static_cast<float>(Step.Param);
-          for (size_t I = 0; I < Pre.size(); ++I)
-            DIn[I] += DYv[I] * (Pre[I] > 0.0f ? 1.0f : Slope);
-        });
-      }
+      const AlignedVector<float> &Pre = OpVal(0).sparse().values();
+      const float Slope = static_cast<float>(Step.Param);
+      Backward += chargeDesc(V.Desc, [&] {
+        std::vector<float> &DIn = GradVec(Id);
+        for (size_t I = 0; I < Pre.size(); ++I) {
+          float G = DYv[I] * (Pre[I] > 0.0f ? 1.0f : Slope);
+          DIn[I] = Acc ? DIn[I] + G : G;
+        }
+      });
       break;
     }
     case StepOp::EdgeSoftmax: {
-      if (NeedOp(0)) {
-        const CsrMatrix &Alpha = Values[Res].sparse();
-        PrimitiveDesc D{PrimitiveKind::EdgeSoftmax, Alpha.rows(), 0, 0,
-                        Alpha.nnz()};
-        Backward += chargeDesc(D, [&] {
-          std::vector<float> &DIn = AccEdge(OpId(0));
-          const auto &Offsets = Alpha.rowOffsets();
-          const auto &AVals = Alpha.values();
-          for (int64_t R = 0; R < Alpha.rows(); ++R) {
-            int64_t Begin = Offsets[static_cast<size_t>(R)];
-            int64_t End = Offsets[static_cast<size_t>(R) + 1];
-            float Dot = 0.0f;
-            for (int64_t K = Begin; K < End; ++K)
-              Dot += AVals[static_cast<size_t>(K)] *
-                     DYv[static_cast<size_t>(K)];
-            for (int64_t K = Begin; K < End; ++K)
-              DIn[static_cast<size_t>(K)] +=
-                  AVals[static_cast<size_t>(K)] *
-                  (DYv[static_cast<size_t>(K)] - Dot);
+      const CsrMatrix &Alpha = Values[Res].sparse();
+      Backward += chargeDesc(V.Desc, [&] {
+        std::vector<float> &DIn = GradVec(Id);
+        const auto &Offsets = Alpha.rowOffsets();
+        const auto &AVals = Alpha.values();
+        for (int64_t R = 0; R < Alpha.rows(); ++R) {
+          int64_t Begin = Offsets[static_cast<size_t>(R)];
+          int64_t End = Offsets[static_cast<size_t>(R) + 1];
+          float Dot = 0.0f;
+          for (int64_t K = Begin; K < End; ++K)
+            Dot += AVals[static_cast<size_t>(K)] *
+                   DYv[static_cast<size_t>(K)];
+          for (int64_t K = Begin; K < End; ++K) {
+            const auto E = static_cast<size_t>(K);
+            float G = AVals[E] * (DYv[E] - Dot);
+            DIn[E] = Acc ? DIn[E] + G : G;
           }
-        });
-      }
+        }
+      });
       break;
     }
+    case StepOp::SddmmScaleRow:
+    case StepOp::SddmmScaleCol:
+    case StepOp::SddmmScaleBoth:
+    case StepOp::DiagDiag:
+    case StepOp::DegreeOffsets:
+    case StepOp::DegreeBinning:
+    case StepOp::InvSqrtVec:
+    case StepOp::InvVec:
+      graniiUnreachable("graph-only step in the backward schedule");
     }
   }
   Result.BackwardSeconds = Backward;
@@ -909,9 +883,11 @@ void PlanInterpreter::backward(ExecResult &Result,
   // gradient of a reordered run scatters straight back to the caller's
   // vertex order; weight and attention gradients reduce over nodes and are
   // row-order independent.
+  if (!FeatureGrad)
+    Result.FeatureGrad = DenseMatrix();
   for (size_t V = 0; V < Plan.Values.size(); ++V) {
     const PlanValue &Val = Plan.Values[V];
-    if (!Val.InputRole || !GS.Present[V])
+    if (!Val.InputRole || !GS.Reached[V])
       continue;
     switch (*Val.InputRole) {
     case LeafRole::Weight:
@@ -1089,9 +1065,11 @@ ExecResult Executor::run(const CompositionPlan &Plan, const LayerInputs &Inputs,
 
 ExecResult Executor::runTraining(const CompositionPlan &Plan,
                                  const LayerInputs &Inputs,
-                                 const GraphStats &Stats) const {
+                                 const GraphStats &Stats,
+                                 bool FeatureGrad) const {
   return coldThenWarm([&](PlanWorkspace &Ws, ExecResult &R) {
-    runTraining(Plan, Inputs, Stats, Ws, R);
+    runTraining(Plan, Inputs, Stats, Ws, R, ReorderPolicy::None,
+                SparseFormat::Csr, ShardSpec(), FeatureGrad);
   });
 }
 
@@ -1100,23 +1078,23 @@ void Executor::run(const CompositionPlan &Plan, const LayerInputs &Inputs,
                    ExecResult &Result, ReorderPolicy Policy,
                    SparseFormat Format, const ShardSpec &Sharding) const {
   execute(Plan, Inputs, Stats, Ws, Result, Policy, Format, Sharding,
-          /*Training=*/false);
+          /*Training=*/false, /*FeatureGrad=*/false);
 }
 
 void Executor::runTraining(const CompositionPlan &Plan,
                            const LayerInputs &Inputs, const GraphStats &Stats,
                            PlanWorkspace &Ws, ExecResult &Result,
                            ReorderPolicy Policy, SparseFormat Format,
-                           const ShardSpec &Sharding) const {
+                           const ShardSpec &Sharding, bool FeatureGrad) const {
   execute(Plan, Inputs, Stats, Ws, Result, Policy, Format, Sharding,
-          /*Training=*/true);
+          /*Training=*/true, FeatureGrad);
 }
 
 void Executor::execute(const CompositionPlan &Plan, const LayerInputs &Inputs,
                        const GraphStats &Stats, PlanWorkspace &Ws,
                        ExecResult &Result, ReorderPolicy Policy,
                        SparseFormat Format, const ShardSpec &Sharding,
-                       bool Training) const {
+                       bool Training, bool FeatureGrad) const {
   GRANII_CHECK(Format == SparseFormat::Csr,
                "Executor: format must be csr (resolve auto by selection)");
   const LayerInputs *Bound = &Inputs;
@@ -1135,16 +1113,17 @@ void Executor::execute(const CompositionPlan &Plan, const LayerInputs &Inputs,
   if (Sharding.active())
     SetupSeconds +=
         shardSetup(*this, Ws.shardState(), Adj, *BoundStats, Sharding);
-  Ws.configure(Plan, Bound->binding(&Plan), Training);
+  Ws.configure(Plan, Bound->binding(&Plan), Training, FeatureGrad);
   SparseOperand Sparse(Adj, Ws, Sharding.active());
   PlanInterpreter Interp(*this, Plan, *Bound, *BoundStats, Ws, Sparse);
   Interp.forward(Result);
   if (Training) {
-    Interp.backward(Result,
+    Interp.backward(Result, FeatureGrad,
                     Policy != ReorderPolicy::None ? &RS.Perm : nullptr);
   } else {
     Result.WeightGrads.clear();
     Result.AttnGrads.clear();
+    Result.FeatureGrad = DenseMatrix();
   }
   if (Policy != ReorderPolicy::None)
     PermSeconds += unpermuteRows(*this, RS, Result.Output, RS.PermOutput, Ws);

@@ -4,10 +4,11 @@
 /// Interprets CompositionPlans over concrete tensors through the kernel
 /// library, charging time per primitive according to the target platform:
 /// wall-clock on measured platforms (CPU), analytic latency on simulated
-/// ones (A100/H100). Training mode appends a reverse-mode backward pass
-/// derived per step op (the paper's GRANII optimizes only the forward pass;
-/// the backward pass always runs the step-local VJPs, which is why training
-/// speedups trail inference speedups).
+/// ones (A100/H100). Training mode appends a reverse-mode backward pass:
+/// the step-local VJPs of CompositionPlan::backwardDescs(), which reach the
+/// weights and attention vectors and, only on request, the features. The
+/// same list prices training in the cost models, so selection in training
+/// mode ranks plans on forward + backward cost.
 ///
 /// Execution is destination-passing throughout: every forward step and
 /// every backward VJP writes through the kernels' `...Into` forms into a
@@ -140,17 +141,25 @@ struct ShardState {
 };
 
 /// Backward-pass storage of a workspace, presized by configure() in
-/// training mode: one gradient accumulator per plan value the backward pass
-/// reaches (dense values in Dense, node vectors and per-edge gradients of
-/// sparse values in Vec, both indexed by value id) and one dense and one
-/// per-edge scratch term, each reused by every VJP before it accumulates.
+/// training mode. The schedule is the plan's backwardDescs() for the
+/// configured gradient request. Each value the schedule reaches has one
+/// gradient accumulator: dense values in Dense, node vectors and the
+/// per-edge gradients of sparse values in Vec, both indexed by value id. A
+/// VJP writes its first contribution straight into the accumulator; only
+/// a later contribution goes through a scratch term (Scratch, EdgeScratch)
+/// that is then added. Partials holds the per-chunk partial products of
+/// the A^T * B weight-gradient GEMMs.
 struct GradState {
-  std::vector<bool> Need;    ///< values that depend on features/parameters
-  std::vector<char> Present; ///< accumulator written in the current run
+  std::vector<VjpStep> Schedule;
+  /// The plan ends in a relu whose all-ones seed gradient is never stored:
+  /// its VJP is the relu's derivative mask.
+  bool ImplicitSeed = false;
+  std::vector<bool> Reached; ///< values that receive a gradient
   std::vector<DenseMatrix> Dense;
   std::vector<std::vector<float>> Vec;
   DenseMatrix Scratch;
   std::vector<float> EdgeScratch;
+  std::vector<float> Partials;
 };
 
 } // namespace detail
@@ -186,8 +195,9 @@ struct ExecResult {
   std::vector<StepProfile> StepProfiles;
 
   /// Gradients produced by runTraining (empty after run()): one entry per
-  /// weight leaf, keyed by its name ("W", "W0", ...), plus the feature
-  /// gradient needed by upstream layers. They are copy-assigned from the
+  /// weight leaf, keyed by its name ("W", "W0", ...), and the feature
+  /// gradient an upstream layer needs, computed only when runTraining is
+  /// asked for it (empty otherwise). They are copy-assigned from the
   /// workspace's accumulators, so a result reused for the same plan reuses
   /// their storage (entries are overwritten, never erased, by training).
   std::map<std::string, DenseMatrix> WeightGrads;
@@ -218,11 +228,12 @@ public:
 
   /// Prepares storage for \p Plan under \p Binding. A matching prior
   /// configuration is kept as-is; otherwise the BufferPlan is recomputed
-  /// and every slot — in training mode every gradient accumulator and
-  /// scratch term too — is presized to its planned capacity (growth events
-  /// are not counted — they are the warm-up cost).
+  /// and every slot — in training mode every gradient accumulator, scratch
+  /// term and partials buffer of the backward pass too — is presized to its
+  /// planned capacity (growth events are not counted — they are the
+  /// warm-up cost). \p FeatureGrad adds dL/dH to the training gradients.
   void configure(const CompositionPlan &Plan, const DimBinding &Binding,
-                 bool Training);
+                 bool Training, bool FeatureGrad = false);
 
   /// The buffer plan of the last configure() (null before any).
   const BufferPlan *bufferPlan() const {
@@ -270,6 +281,7 @@ private:
   const CompositionPlan *Plan = nullptr;
   DimBinding Binding{};
   bool Training = false;
+  bool FeatureGrad = false;
   std::optional<BufferPlan> Buffers;
   std::vector<DenseMatrix> DenseSlots;
   std::vector<std::vector<float>> VecSlots;
@@ -307,11 +319,11 @@ public:
                  const GraphStats &Stats) const;
 
   /// Forward + backward with run()'s cold-then-warm accounting. Gradients
-  /// are computed with respect to every weight input (and features),
-  /// seeded with dL/dOut = 1.
+  /// are computed with respect to every weight and attention vector, and
+  /// to the features when \p FeatureGrad is set, seeded with dL/dOut = 1.
   ExecResult runTraining(const CompositionPlan &Plan,
-                         const LayerInputs &Inputs,
-                         const GraphStats &Stats) const;
+                         const LayerInputs &Inputs, const GraphStats &Stats,
+                         bool FeatureGrad = false) const;
 
   /// Forward pass against \p Ws (configured on entry), writing into
   /// \p Result; both are reused across calls. After one warm-up call,
@@ -343,19 +355,24 @@ public:
            SparseFormat Format = SparseFormat::Csr,
            const ShardSpec &Sharding = ShardSpec()) const;
 
-  /// Forward + backward against \p Ws. The forward activations (fully
-  /// pinned in training mode), the gradient accumulators and the VJP
-  /// scratch all live in \p Ws, and gradients are copy-assigned into
-  /// \p Result's existing entries, so after one warm-up call repeated calls
-  /// perform zero workspace allocations. Under a non-None \p Policy the
-  /// feature gradient is scattered back alongside the output; weight and
-  /// attention gradients are row-order invariant and need no correction.
+  /// Forward + backward against \p Ws. The backward pass runs the plan's
+  /// backwardDescs(): gradients reach every weight and attention vector,
+  /// and the features only when \p FeatureGrad is set. The forward
+  /// activations (fully pinned in training mode), the gradient
+  /// accumulators and the VJP scratch all live in \p Ws, and gradients are
+  /// copy-assigned into \p Result's existing entries, so after one warm-up
+  /// call repeated calls perform zero workspace allocations. Under a
+  /// non-None \p Policy the feature gradient is scattered back alongside
+  /// the output; weight and attention gradients are row-order invariant
+  /// and need no correction. The one-time CSC build of a transposed SpMM
+  /// VJP is charged as setup.
   void runTraining(const CompositionPlan &Plan, const LayerInputs &Inputs,
                    const GraphStats &Stats, PlanWorkspace &Ws,
                    ExecResult &Result,
                    ReorderPolicy Policy = ReorderPolicy::None,
                    SparseFormat Format = SparseFormat::Csr,
-                   const ShardSpec &Sharding = ShardSpec()) const;
+                   const ShardSpec &Sharding = ShardSpec(),
+                   bool FeatureGrad = false) const;
 
   /// Executes \p Body once and returns the seconds to charge for it on
   /// this platform: its wall-clock time on measured platforms, the analytic
@@ -370,7 +387,8 @@ private:
   void execute(const CompositionPlan &Plan, const LayerInputs &Inputs,
                const GraphStats &Stats, PlanWorkspace &Ws, ExecResult &Result,
                ReorderPolicy Policy, SparseFormat Format,
-               const ShardSpec &Sharding, bool Training) const;
+               const ShardSpec &Sharding, bool Training,
+               bool FeatureGrad) const;
 
   HardwareModel Hw;
   bool StepProfiling = false;

@@ -156,7 +156,7 @@ RunResponse Session::run(bool WantOutput) {
     // The schedule is a function of the (plan, binding, mode) triple, which
     // is fixed for the session's lifetime, so one check covers every
     // subsequent run.
-    verifyExecutionSchedule(Plan, Inputs.binding(&Plan), Training,
+    verifyExecutionSchedule(Plan, Inputs.binding(&Plan), Options.Training,
                             Params.AdjSelf.rowOffsets());
     ScheduleVerified = true;
   }
@@ -165,7 +165,7 @@ RunResponse Session::run(bool WantOutput) {
   // builds the arena (nonzero), every later run must report zero.
   Ws.resetAllocationCount();
   ShardSpec Sharding{Options.Shards, Options.ShardStoreDir};
-  if (Training)
+  if (Options.Training)
     Exec->runTraining(Plan, Inputs, Params.Stats, Ws, Result,
                       Options.Reorder, Sel.Format, Sharding);
   else
@@ -296,6 +296,8 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   S->Model = std::move(Valid->Model);
   S->Options.Hw = Opts.Hw;
   S->Options.Iterations = Opts.Iterations;
+  // Selection prices the request's mode: forward, or forward + backward.
+  S->Options.Training = Req.Training;
   S->Options.Reorder = Valid->Reorder;
   S->Options.Format = Valid->Format;
   S->Options.Verify = Opts.Verify;
@@ -303,7 +305,6 @@ std::shared_ptr<Session> Engine::session(const JobRequest &Req,
   // set before Optimizer construction so select() prices shard features.
   S->Options.Shards = resolvedShardCount(Req, G);
   S->Options.ShardStoreDir = Opts.ShardStoreDir;
-  S->Training = Req.Training;
   S->Cost = AnalyticCostModel(Opts.Hw);
 
   CompileResponse CompileInfo;

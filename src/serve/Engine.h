@@ -101,8 +101,7 @@ private:
   // from any thread without RunMutex.
   std::string Key;
   GnnModel Model;
-  OptimizerOptions Options;
-  bool Training = false;
+  OptimizerOptions Options; ///< Options.Training is the session's mode
   /// Selection + execution state. Cost must outlive Opt (the optimizer
   /// keeps a pointer), hence the member order.
   AnalyticCostModel Cost{HardwareModel::byName("cpu")};

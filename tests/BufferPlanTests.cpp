@@ -280,11 +280,14 @@ TEST(PlanWorkspaceExec, TrainingReusedWorkspaceMatchesByValueRun) {
   auto Plans = enumerateCompositions(M.Root);
   ASSERT_FALSE(Plans.empty());
 
-  ExecResult ByValue =
-      Exec.runTraining(Plans[0], Params.inputs(), Params.Stats);
+  ExecResult ByValue = Exec.runTraining(Plans[0], Params.inputs(),
+                                       Params.Stats, /*FeatureGrad=*/true);
+  ASSERT_FALSE(ByValue.FeatureGrad.empty());
   PlanWorkspace Ws;
   ExecResult R;
-  Exec.runTraining(Plans[0], Params.inputs(), Params.Stats, Ws, R);
+  Exec.runTraining(Plans[0], Params.inputs(), Params.Stats, Ws, R,
+                   ReorderPolicy::None, SparseFormat::Csr, ShardSpec(),
+                   /*FeatureGrad=*/true);
   EXPECT_EQ(R.Output.maxAbsDiff(ByValue.Output), 0.0f);
   ASSERT_EQ(R.WeightGrads.size(), ByValue.WeightGrads.size());
   for (const auto &[Name, Grad] : ByValue.WeightGrads) {

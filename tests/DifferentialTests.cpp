@@ -417,6 +417,43 @@ TEST(Differential, IsaLevelsAgreeAndStayThreadDeterministic) {
   }
 }
 
+// The weight and attention gradients of every surviving plan are bitwise
+// identical at 1, 2 and 4 threads at every ISA level: the chunked A^T * B
+// and every other VJP fix their reduction order independently of the
+// thread count.
+TEST(Differential, TrainingGradientsAreThreadInvariantAtEveryIsaLevel) {
+  IsaLevelGuard Guard;
+  for (uint64_t I = 0; I < 3; ++I) {
+    Instance Inst = makeInstance(4100 + I);
+    SCOPED_TRACE(Inst.Desc);
+    GnnModel M = makeModel(Inst.Kind);
+    LayerParams Params =
+        makeLayerParams(M, Inst.G, Inst.KIn, Inst.KOut, Inst.Seed);
+    for (const CompositionPlan &Plan : survivingPlans(M)) {
+      SCOPED_TRACE(Plan.Name);
+      for (kernels::IsaLevel Level : kernels::supportedIsaLevels()) {
+        SCOPED_TRACE(kernels::isaLevelName(Level));
+        ASSERT_TRUE(kernels::setIsaLevel(Level));
+        Executor E1(HardwareModel::byName("cpu"), /*NumThreads=*/1);
+        ExecResult Base = E1.runTraining(Plan, Params.inputs(), Params.Stats);
+        ASSERT_FALSE(Base.WeightGrads.empty());
+        for (int Threads : {2, 4}) {
+          Executor E(HardwareModel::byName("cpu"), Threads);
+          ExecResult R = E.runTraining(Plan, Params.inputs(), Params.Stats);
+          for (const auto &[Name, DW] : Base.WeightGrads)
+            EXPECT_EQ(std::memcmp(R.WeightGrads.at(Name).data(), DW.data(),
+                                  static_cast<size_t>(DW.size()) *
+                                      sizeof(float)),
+                      0)
+                << "grad " << Name << " at " << Threads << " threads";
+          EXPECT_EQ(R.AttnGrads, Base.AttnGrads)
+              << "attention grads at " << Threads << " threads";
+        }
+      }
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Training differential: gradients under reordering
 //===----------------------------------------------------------------------===//
@@ -435,12 +472,15 @@ TEST(Differential, ReorderedTrainingMatchesUnreordered) {
     Executor Exec(HardwareModel::byName("cpu"), /*NumThreads=*/2);
 
     PlanWorkspace Ws, WsR;
-    Ws.configure(Plan, Binding, /*Training=*/true);
-    WsR.configure(Plan, Binding, /*Training=*/true);
+    Ws.configure(Plan, Binding, /*Training=*/true, /*FeatureGrad=*/true);
+    WsR.configure(Plan, Binding, /*Training=*/true, /*FeatureGrad=*/true);
     ExecResult Base, Reord;
-    Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws, Base);
+    Exec.runTraining(Plan, Params.inputs(), Params.Stats, Ws, Base,
+                     ReorderPolicy::None, SparseFormat::Csr, ShardSpec(),
+                     /*FeatureGrad=*/true);
     Exec.runTraining(Plan, Params.inputs(), Params.Stats, WsR, Reord,
-                     ReorderPolicy::Rcm);
+                     ReorderPolicy::Rcm, SparseFormat::Csr, ShardSpec(),
+                     /*FeatureGrad=*/true);
 
     EXPECT_TRUE(Reord.Output.approxEquals(Base.Output, 1e-5f, 1e-5f));
     // Weight and attention gradients are sums over rows/edges: invariant
@@ -453,13 +493,11 @@ TEST(Differential, ReorderedTrainingMatchesUnreordered) {
     }
     // The feature gradient is row-indexed and must come back in the
     // caller's vertex order.
-    if (!Base.FeatureGrad.empty()) {
-      ASSERT_EQ(Reord.FeatureGrad.rows(), Base.FeatureGrad.rows());
-      EXPECT_TRUE(
-          Reord.FeatureGrad.approxEquals(Base.FeatureGrad, 1e-4f, 1e-4f))
-          << "feature grad differs by "
-          << Reord.FeatureGrad.maxAbsDiff(Base.FeatureGrad);
-    }
+    ASSERT_FALSE(Base.FeatureGrad.empty());
+    ASSERT_EQ(Reord.FeatureGrad.rows(), Base.FeatureGrad.rows());
+    EXPECT_TRUE(Reord.FeatureGrad.approxEquals(Base.FeatureGrad, 1e-4f, 1e-4f))
+        << "feature grad differs by "
+        << Reord.FeatureGrad.maxAbsDiff(Base.FeatureGrad);
   }
 }
 
@@ -590,9 +628,12 @@ TEST(Differential, ShardedTrainingGradientsAreBitwise) {
 
     Executor E1(HardwareModel::byName("cpu"), /*NumThreads=*/1);
     PlanWorkspace WsBase;
-    WsBase.configure(Plan, Binding, /*Training=*/true);
+    WsBase.configure(Plan, Binding, /*Training=*/true, /*FeatureGrad=*/true);
     ExecResult Base;
-    E1.runTraining(Plan, Params.inputs(), Params.Stats, WsBase, Base);
+    E1.runTraining(Plan, Params.inputs(), Params.Stats, WsBase, Base,
+                   ReorderPolicy::None, SparseFormat::Csr, ShardSpec(),
+                   /*FeatureGrad=*/true);
+    ASSERT_FALSE(Base.FeatureGrad.empty());
 
     for (int Shards : {2, 4}) {
       for (int Threads : {1, 4}) {
@@ -600,11 +641,11 @@ TEST(Differential, ShardedTrainingGradientsAreBitwise) {
                      " threads=" + std::to_string(Threads));
         Executor E(HardwareModel::byName("cpu"), Threads);
         PlanWorkspace Ws;
-        Ws.configure(Plan, Binding, /*Training=*/true);
+        Ws.configure(Plan, Binding, /*Training=*/true, /*FeatureGrad=*/true);
         ExecResult R;
         E.runTraining(Plan, Params.inputs(), Params.Stats, Ws, R,
                       ReorderPolicy::None, SparseFormat::Csr,
-                      ShardSpec{Shards, ""});
+                      ShardSpec{Shards, ""}, /*FeatureGrad=*/true);
         EXPECT_TRUE(bitwiseEqualDense(R.Output, Base.Output))
             << "sharded training output differs from whole-graph";
         for (const auto &[Name, DW] : Base.WeightGrads) {
@@ -613,10 +654,9 @@ TEST(Differential, ShardedTrainingGradientsAreBitwise) {
               << "grad " << Name << " differs by "
               << R.WeightGrads.at(Name).maxAbsDiff(DW);
         }
-        if (!Base.FeatureGrad.empty())
-          EXPECT_TRUE(bitwiseEqualDense(R.FeatureGrad, Base.FeatureGrad))
-              << "feature grad differs by "
-              << R.FeatureGrad.maxAbsDiff(Base.FeatureGrad);
+        EXPECT_TRUE(bitwiseEqualDense(R.FeatureGrad, Base.FeatureGrad))
+            << "feature grad differs by "
+            << R.FeatureGrad.maxAbsDiff(Base.FeatureGrad);
       }
     }
   }

@@ -227,20 +227,19 @@ TEST(Autodiff, GradientsAgreeAcrossPlans) {
     LayerParams Params = makeLayerParams(M, G, 6, 9, 33);
     Executor Exec = cpuExecutor();
     auto Plans = enumerateCompositions(M.Root);
-    ExecResult Ref =
-        Exec.runTraining(Plans[0], Params.inputs(), Params.Stats);
+    ExecResult Ref = Exec.runTraining(Plans[0], Params.inputs(), Params.Stats,
+                                      /*FeatureGrad=*/true);
+    ASSERT_FALSE(Ref.FeatureGrad.empty()) << M.Name;
     for (size_t I = 1; I < Plans.size(); ++I) {
-      ExecResult R =
-          Exec.runTraining(Plans[I], Params.inputs(), Params.Stats);
+      ExecResult R = Exec.runTraining(Plans[I], Params.inputs(), Params.Stats,
+                                      /*FeatureGrad=*/true);
       for (const auto &[Name, DW] : Ref.WeightGrads) {
         ASSERT_TRUE(R.WeightGrads.count(Name)) << M.Name;
         EXPECT_TRUE(R.WeightGrads.at(Name).approxEquals(DW, 5e-3f, 5e-3f))
             << M.Name << " plan " << I << " grad " << Name;
       }
-      if (!Ref.FeatureGrad.empty()) {
-        EXPECT_TRUE(R.FeatureGrad.approxEquals(Ref.FeatureGrad, 5e-3f, 5e-3f))
-            << M.Name << " plan " << I;
-      }
+      EXPECT_TRUE(R.FeatureGrad.approxEquals(Ref.FeatureGrad, 5e-3f, 5e-3f))
+          << M.Name << " plan " << I;
     }
   }
 }

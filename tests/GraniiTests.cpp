@@ -196,3 +196,107 @@ TEST(Optimizer, AblationEnumOptionsFlowThrough) {
     for (const PlanStep &S : P.Steps)
       EXPECT_NE(S.Op, StepOp::SddmmScaleBoth);
 }
+
+//===----------------------------------------------------------------------===//
+// Training-aware pricing and selection
+//===----------------------------------------------------------------------===//
+
+TEST(TrainingSelection, BackwardChargesEqualBackwardPricing) {
+  // On a simulated platform the executor charges each VJP the analytic
+  // estimate of its backwardDescs() entry, so the warm run's backward time
+  // is exactly the cost model's backward price. The cold run's one-time
+  // CSC build is setup, not backward time, and is priced once.
+  Executor Exec(HardwareModel::byName("h100"));
+  const CostModel &Cost = analyticFor("h100");
+  Graph G = makeErdosRenyi(300, 2400, 6);
+  for (ModelKind Kind :
+       {ModelKind::GCN, ModelKind::GAT, ModelKind::SAGE, ModelKind::GIN}) {
+    Optimizer Opt = makeOptimizer(Kind, "h100");
+    LayerParams Params = makeLayerParams(Opt.model(), G, 24, 12, 3);
+    for (size_t I = 0; I < Opt.promoted().size(); ++I) {
+      SCOPED_TRACE(modelName(Kind) + " plan " + std::to_string(I));
+      const CompositionPlan &Plan = Opt.promoted()[I];
+      DimBinding B = Params.inputs().binding(&Plan);
+      ExecResult Warm = Exec.runTraining(Plan, Params.inputs(), Params.Stats);
+      ExecResult Infer = Exec.run(Plan, Params.inputs(), Params.Stats);
+      double Backward = Cost.backwardSeconds(Plan, B, Params.Stats);
+      EXPECT_GT(Backward, 0.0);
+      EXPECT_EQ(Warm.BackwardSeconds, Backward);
+      double Csc = needsCscBuild(Plan.backwardDescs(B))
+                       ? Cost.primitiveSeconds(cscBuildDesc(B.N, B.E),
+                                               Params.Stats)
+                       : 0.0;
+      EXPECT_DOUBLE_EQ(Warm.SetupSeconds - Infer.SetupSeconds, Csc);
+      EXPECT_EQ(Cost.planSeconds(Plan, B, Params.Stats, 7, /*Training=*/true),
+                Cost.planSeconds(Plan, B, Params.Stats, 7) + 7.0 * Backward +
+                    Csc);
+    }
+  }
+}
+
+TEST(TrainingSelection, GcnTrainingPicksAggregateFirstPlan) {
+  // At K_in = K_out an aggregate-first GCN plan needs no transposed SpMM
+  // for dW, which the forward-only annotations cannot see.
+  Graph G = makeRmat(4096, 65536, 0.57, 0.19, 0.19, 7);
+  for (const char *Hw : {"cpu", "h100"}) {
+    SCOPED_TRACE(Hw);
+    OptimizerOptions Opts;
+    Opts.Hw = HardwareModel::byName(Hw);
+    Opts.Training = true;
+    Optimizer Opt(makeModel(ModelKind::GCN), Opts, &analyticFor(Hw));
+    Selection Sel = Opt.select(G, 64, 64);
+    EXPECT_TRUE(Sel.UsedCostModels);
+    const CompositionPlan &Plan = Opt.promoted()[Sel.PlanIndex];
+    size_t Spmm = Plan.Steps.size(), Gemm = Plan.Steps.size();
+    for (size_t S = 0; S < Plan.Steps.size(); ++S) {
+      StepOp Op = Plan.Steps[S].Op;
+      if (Op == StepOp::SpmmWeighted || Op == StepOp::SpmmUnweighted)
+        Spmm = std::min(Spmm, S);
+      if (Op == StepOp::Gemm)
+        Gemm = std::min(Gemm, S);
+    }
+    EXPECT_LT(Spmm, Gemm) << Plan.toString();
+    Graph WithSelf = G.withSelfLoops();
+    DimBinding B{WithSelf.numNodes(), 64, 64, WithSelf.numEdges()};
+    for (const VjpStep &V : Plan.backwardDescs(B))
+      EXPECT_NE(Plan.Steps[static_cast<size_t>(V.Step)].Op, StepOp::SpmmUnweighted);
+  }
+}
+
+TEST(TrainingSelection, InferenceSelectionIsForwardOnly) {
+  // Inference keeps the embedding-size filter and forward-only pricing: the
+  // same plan and the same PredictedSeconds bits as pricing by hand.
+  Graph G = makeErdosRenyi(400, 3000, 8);
+  Graph WithSelf = G.withSelfLoops();
+  for (ModelKind Kind : {ModelKind::GCN, ModelKind::GAT, ModelKind::GIN}) {
+    for (auto [KIn, KOut] : {std::pair<int64_t, int64_t>{64, 16}, {16, 64}}) {
+      SCOPED_TRACE(modelName(Kind) + " " + std::to_string(KIn) + "->" +
+                   std::to_string(KOut));
+      Optimizer Opt = makeOptimizer(Kind, "cpu");
+      const CostModel &Cost = analyticFor("cpu");
+      Selection Sel = Opt.select(G, KIn, KOut);
+      DimBinding B{WithSelf.numNodes(), KIn, KOut, WithSelf.numEdges()};
+      size_t Want = 0;
+      double WantSeconds = 0.0;
+      bool Any = false;
+      for (size_t I = 0; I < Opt.promoted().size(); ++I) {
+        const CompositionPlan &P = Opt.promoted()[I];
+        if (!(KIn >= KOut ? P.ViableGe : P.ViableLt))
+          continue;
+        std::vector<PrimitiveDesc> Descs = P.primitiveDescs(B);
+        double Seconds = 0.0;
+        for (size_t S = 0; S < P.Steps.size(); ++S)
+          Seconds += (P.Steps[S].Setup ? 1.0 : 100.0) *
+                     Cost.primitiveSeconds(Descs[S], WithSelf.stats());
+        if (!Any || Seconds < WantSeconds) {
+          Want = I;
+          WantSeconds = Seconds;
+          Any = true;
+        }
+      }
+      ASSERT_TRUE(Any);
+      EXPECT_EQ(Sel.PlanIndex, Want);
+      EXPECT_EQ(Sel.PredictedSeconds, WantSeconds);
+    }
+  }
+}

@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 using namespace granii;
 
@@ -35,6 +37,13 @@ CsrMatrix randomSparse(int64_t Rows, int64_t Cols, int64_t Entries,
             static_cast<int64_t>(R.nextBelow(static_cast<uint64_t>(Cols))),
             R.nextFloat(0.1f, 1.0f));
   return Coo.toCsr(!Weighted);
+}
+
+/// C = A^T * B through the chunked kernel, with a fresh partials buffer.
+void gemmTLhs(const DenseMatrix &A, const DenseMatrix &B, DenseMatrix &C) {
+  std::vector<float> Partials(
+      kernels::gemmTransposedLhsPartialFloats(A.rows(), A.cols(), B.cols()));
+  kernels::gemmTransposedLhsInto(A, B, C, Partials);
 }
 
 /// Reference dense matmul with double accumulation.
@@ -77,7 +86,7 @@ TEST_P(GemmShapes, TransposedLhsMatchesExplicitTranspose) {
   DenseMatrix B = randomDense(K, N, 32 + N);
   DenseMatrix Expected = refGemm(A.transposed(), B);
   DenseMatrix C(M, N);
-  kernels::gemmTransposedLhsInto(A, B, C);
+  gemmTLhs(A, B, C);
   EXPECT_TRUE(C.approxEquals(Expected, 1e-3f, 1e-3f));
 }
 
@@ -482,6 +491,64 @@ TEST(KernelChecks, SpmmIntoWrongDstShapeDies) {
 }
 
 //===----------------------------------------------------------------------===//
+// Chunked A^T * B (the weight-gradient GEMM)
+//===----------------------------------------------------------------------===//
+
+TEST(GemmTransposedLhs, EdgeShapesMatchDoubleReference) {
+  constexpr int64_t Chunks = kernels::GemmTransposedLhsChunks;
+  constexpr int64_t Rows = kernels::GemmTransposedLhsMinChunkRows;
+  // M = 1, M below the chunk count, one chunk's rows plus one, a few
+  // uneven chunks, and every chunk in use with M not a multiple of them.
+  for (int64_t M : {int64_t{1}, Chunks / 2 + 1, Rows + 1, 5 * Rows - 3,
+                    Chunks * Rows + 77}) {
+    SCOPED_TRACE("M = " + std::to_string(M));
+    DenseMatrix A = randomDense(M, 23, 71 + M);
+    DenseMatrix B = randomDense(M, 37, 72 + M);
+    std::vector<float> Partials(
+        kernels::gemmTransposedLhsPartialFloats(M, 23, 37));
+    const int64_t Used = std::clamp<int64_t>(M / Rows, 1, Chunks);
+    EXPECT_EQ(Partials.size(), static_cast<size_t>((Used - 1) * 23 * 37));
+    DenseMatrix C(23, 37);
+    kernels::gemmTransposedLhsInto(A, B, C, Partials);
+    EXPECT_TRUE(C.approxEquals(refGemm(A.transposed(), B), 1e-3f, 1e-3f));
+  }
+}
+
+TEST(GemmTransposedLhs, PartialsStayWithinBudget) {
+  // Wide products use fewer chunks, so the buffer is bounded whatever the
+  // layer width; narrow ones keep every chunk.
+  constexpr int64_t Budget = kernels::GemmTransposedLhsPartialBudget;
+  const int64_t M = int64_t{1} << 16;
+  EXPECT_EQ(kernels::gemmTransposedLhsPartialFloats(M, 64, 64),
+            static_cast<size_t>((kernels::GemmTransposedLhsChunks - 1) * 64 *
+                                64));
+  for (int64_t K : {int64_t{256}, int64_t{512}, int64_t{1024}, int64_t{4096}}) {
+    SCOPED_TRACE("K = N = " + std::to_string(K));
+    size_t Floats = kernels::gemmTransposedLhsPartialFloats(M, K, K);
+    EXPECT_LE(Floats, static_cast<size_t>(Budget));
+    EXPECT_EQ(Floats % static_cast<size_t>(K * K), 0u);
+  }
+  EXPECT_EQ(kernels::gemmTransposedLhsPartialFloats(M, 512, 512),
+            static_cast<size_t>(16 * 512 * 512));
+  EXPECT_EQ(kernels::gemmTransposedLhsPartialFloats(M, 4096, 4096), 0u);
+}
+
+TEST(GemmTransposedLhs, ReusedBuffersGiveTheSameBits) {
+  // Stale partials and a stale destination must not leak into the result.
+  DenseMatrix A = randomDense(700, 19, 73);
+  DenseMatrix B = randomDense(700, 21, 74);
+  std::vector<float> Partials(
+      kernels::gemmTransposedLhsPartialFloats(700, 19, 21), 7.0f);
+  DenseMatrix Fresh(19, 21), Stale(19, 21);
+  Stale.fill(-3.0f);
+  gemmTLhs(A, B, Fresh);
+  kernels::gemmTransposedLhsInto(A, B, Stale, Partials);
+  EXPECT_EQ(std::memcmp(Fresh.data(), Stale.data(),
+                        static_cast<size_t>(Fresh.size()) * sizeof(float)),
+            0);
+}
+
+//===----------------------------------------------------------------------===//
 // Determinism across thread counts
 //===----------------------------------------------------------------------===//
 
@@ -567,7 +634,7 @@ TEST(Determinism, GemmFamilyBitwiseIdenticalAcrossThreadCounts) {
   };
   auto Gemm = [&](DenseMatrix &Out) { kernels::gemmInto(A, B, Out); };
   auto TLhs = [&](DenseMatrix &Out) {
-    kernels::gemmTransposedLhsInto(At, A, Out);
+    gemmTLhs(At, A, Out);
   };
   auto TRhs = [&](DenseMatrix &Out) {
     kernels::gemmTransposedRhsInto(A, At, Out);
@@ -575,6 +642,27 @@ TEST(Determinism, GemmFamilyBitwiseIdenticalAcrossThreadCounts) {
   expectBitwiseEqual(Run(1, 300, 96, Gemm), Run(8, 300, 96, Gemm));
   expectBitwiseEqual(Run(1, 64, 64, TLhs), Run(8, 64, 64, TLhs));
   expectBitwiseEqual(Run(1, 300, 300, TRhs), Run(8, 300, 300, TRhs));
+}
+
+TEST(Determinism, GemmTransposedLhsBitwiseAtOneToFourThreads) {
+  // Every chunk in use, and M not a multiple of the chunk count.
+  const int64_t M = kernels::GemmTransposedLhsChunks *
+                        kernels::GemmTransposedLhsMinChunkRows +
+                    13;
+  DenseMatrix A = randomDense(M, 64, 87);
+  DenseMatrix B = randomDense(M, 48, 88);
+  auto Run = [&](int Threads) {
+    return withThreads(Threads, [&] {
+      DenseMatrix Out(64, 48);
+      gemmTLhs(A, B, Out);
+      return Out;
+    });
+  };
+  DenseMatrix One = Run(1);
+  for (int Threads : {2, 3, 4}) {
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    expectBitwiseEqual(One, Run(Threads));
+  }
 }
 
 TEST(Determinism, SddmmBitwiseIdenticalAcrossThreadCounts) {

@@ -17,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace granii;
@@ -47,6 +49,13 @@ CsrMatrix randomSparse(int64_t Rows, int64_t Cols, int64_t Entries,
             static_cast<int64_t>(R.nextBelow(static_cast<uint64_t>(Cols))),
             R.nextFloat(0.1f, 1.0f));
   return Coo.toCsr(!Weighted);
+}
+
+/// C = A^T * B through the chunked kernel, with a fresh partials buffer.
+void gemmTLhs(const DenseMatrix &A, const DenseMatrix &B, DenseMatrix &C) {
+  std::vector<float> Partials(
+      kernels::gemmTransposedLhsPartialFloats(A.rows(), A.cols(), B.cols()));
+  kernels::gemmTransposedLhsInto(A, B, C, Partials);
 }
 
 void expectApproxEqual(const DenseMatrix &Got, const DenseMatrix &Want,
@@ -201,7 +210,7 @@ TEST(CrossIsa, GemmFamilyAgreesWithScalarLevel) {
   };
   auto TLhs = [&] {
     DenseMatrix C(37, 29);
-    kernels::gemmTransposedLhsInto(At, B, C);
+    gemmTLhs(At, B, C);
     return C;
   };
   auto TRhs = [&] {
@@ -221,6 +230,39 @@ TEST(CrossIsa, GemmFamilyAgreesWithScalarLevel) {
     expectApproxEqual(Gemm(), RefGemm, 1e-5f, "gemm");
     expectApproxEqual(TLhs(), RefTLhs, 1e-5f, "gemmTransposedLhs");
     expectApproxEqual(TRhs(), RefTRhs, 1e-5f, "gemmTransposedRhs");
+  }
+}
+
+TEST(CrossIsa, GemmTransposedLhsIsBitwiseAcrossLevels) {
+  // The weight-gradient GEMM adds rounded products in a fixed chunk and row
+  // order at every level, so it agrees bit for bit (AVX-512 only where the
+  // host has it). Widths cover the 2-vector, 1-vector and scalar-tail
+  // paths; M spans a single chunk, a few and all of them, unevenly.
+  IsaLevelGuard Guard;
+  for (auto [M, K, N] : {std::tuple<int64_t, int64_t, int64_t>{45, 37, 29},
+                         {1000, 64, 64},
+                         {8300, 16, 40}}) {
+    SCOPED_TRACE(std::to_string(M) + "x" + std::to_string(K) + "x" +
+                 std::to_string(N));
+    DenseMatrix A = randomDense(M, K, 15);
+    DenseMatrix B = randomDense(M, N, 16);
+    auto TLhs = [&] {
+      DenseMatrix C(K, N);
+      gemmTLhs(A, B, C);
+      return C;
+    };
+    ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Scalar));
+    DenseMatrix Ref = TLhs();
+    for (IsaLevel Level : kernels::supportedIsaLevels()) {
+      SCOPED_TRACE(kernels::isaLevelName(Level));
+      ASSERT_TRUE(kernels::setIsaLevel(Level));
+      DenseMatrix Got = TLhs();
+      EXPECT_EQ(std::memcmp(Got.data(), Ref.data(),
+                            static_cast<size_t>(Ref.size()) * sizeof(float)),
+                0)
+          << "gemmTransposedLhs differs from the scalar level by "
+          << Got.maxAbsDiff(Ref);
+    }
   }
 }
 

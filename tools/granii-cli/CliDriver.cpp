@@ -298,13 +298,22 @@ int cmdVerify(const ArgParser &Args, std::string &Out, std::string &Err) {
   return 0;
 }
 
+/// What decided a selection, for the `online:` and `call:` lines. Sessions
+/// select with the analytic cost model, in the request's mode.
+std::string selectionReason(bool UsedCostModels, bool Training) {
+  if (!UsedCostModels)
+    return "embedding-size condition";
+  return Training ? "analytic cost model, forward+backward"
+                  : "analytic cost model, forward";
+}
+
 /// The --profile path: executes the selected plan against a dedicated
 /// workspace with per-step profiling — a warm-up run plans and allocates
 /// the arena, then a steady-state run is profiled and its allocation count
 /// checked. Nonzero steady-state allocations are a planning bug, reported
 /// via the exit code so CI can assert the zero-allocation property.
 int profileRun(const CompositionPlan &Plan, const LayerParams &Params,
-               const OptimizerOptions &Options, bool Training, std::string &Out,
+               const OptimizerOptions &Options, std::string &Out,
                std::string &Err) {
   Executor Exec(Options.Hw);
   Exec.setStepProfiling(true);
@@ -314,7 +323,7 @@ int profileRun(const CompositionPlan &Plan, const LayerParams &Params,
 
   ShardSpec Sharding{Options.Shards, Options.ShardStoreDir};
   auto RunOnce = [&] {
-    if (Training)
+    if (Options.Training)
       Exec.runTraining(Plan, Inputs, Params.Stats, Ws, R, Options.Reorder,
                        SparseFormat::Csr, Sharding);
     else
@@ -421,6 +430,7 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
   OptimizerOptions Options;
   Options.Hw = HardwareModel::byName(Hw);
   Options.Iterations = static_cast<int>(Args.intValue("iters", 100));
+  Options.Training = Training;
   Options.Reorder = *Reorder;
   Options.Verify = *Verify;
   // Resolve auto locally the same way the engine will, so the banner and
@@ -489,7 +499,7 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
 
   const Selection &Sel = S->selection();
   Out += "online: candidate #" + std::to_string(Sel.PlanIndex) + " (" +
-         (Sel.UsedCostModels ? "cost models" : "embedding-size condition") +
+         selectionReason(Sel.UsedCostModels, Training) +
          "), predicted " + formatDouble(Sel.PredictedSeconds * 1e3, 3) +
          " ms for " + std::to_string(Options.Iterations) + " iterations\n";
   Out += "selected composition:\n" +
@@ -524,7 +534,7 @@ int cmdRun(const ArgParser &Args, std::string &Out, std::string &Err) {
 
   if (Args.hasFlag("profile"))
     return profileRun(S->optimizer().promoted()[Sel.PlanIndex], S->params(),
-                      Options, Training, Out, Err);
+                      Options, Out, Err);
   return 0;
 }
 
@@ -696,7 +706,7 @@ int cmdCall(const ArgParser &Args, std::string &Out, std::string &Err) {
     return 1;
   }
   Out += "call: candidate #" + std::to_string(Resp.PlanIndex) + " (" +
-         (Resp.UsedCostModels ? "cost models" : "embedding-size condition") +
+         selectionReason(Resp.UsedCostModels, Req.Training) +
          "), session " + (Resp.SessionCacheHit ? "warm" : "cold") +
          ", plan cache " + (Resp.PlanCacheHit ? "hit" : "miss") + "\n";
   Out += std::string(Req.Training ? "fwd+bwd" : "forward") + ": " +
