@@ -23,8 +23,8 @@ Graph Graph::withSelfLoops() const {
   const auto &Offsets = Adj.rowOffsets();
   const auto &Cols = Adj.colIndices();
   const int64_t N = Adj.rows();
-  std::vector<int64_t> NewOffsets(static_cast<size_t>(N) + 1, 0);
-  std::vector<int32_t> NewCols;
+  AlignedVector<int64_t> NewOffsets(static_cast<size_t>(N) + 1, 0);
+  AlignedVector<int32_t> NewCols;
   NewCols.reserve(Cols.size() + static_cast<size_t>(N));
   for (int64_t R = 0; R < N; ++R) {
     const auto Begin = Cols.begin() + Offsets[static_cast<size_t>(R)];
@@ -67,15 +67,17 @@ GraphStats granii::computeGraphStats(const CsrMatrix &Adjacency) {
   S.MaxDegree = *std::max_element(Degrees.begin(), Degrees.end());
   S.DegreeStddev = stddevOf(Degrees);
   S.DegreeCv = S.AvgDegree > 0.0 ? S.DegreeStddev / S.AvgDegree : 0.0;
-  S.DegreeGini = giniOf(Degrees);
 
-  // Fraction of edges carried by the top 1% highest-degree rows.
-  std::vector<double> Sorted = Degrees;
-  std::sort(Sorted.begin(), Sorted.end(), std::greater<double>());
+  // Fraction of edges carried by the top 1% highest-degree rows, summed
+  // largest first. The ascending sort also leaves giniOf's own sort a
+  // pass over sorted data.
+  std::vector<double> Sorted = std::move(Degrees);
+  std::sort(Sorted.begin(), Sorted.end());
   size_t TopCount = std::max<size_t>(1, Sorted.size() / 100);
   double TopSum = 0.0;
   for (size_t I = 0; I < TopCount; ++I)
-    TopSum += Sorted[I];
+    TopSum += Sorted[Sorted.size() - 1 - I];
+  S.DegreeGini = giniOf(std::move(Sorted));
   S.TopRowFraction = S.NumEdges > 0
                          ? TopSum / static_cast<double>(S.NumEdges)
                          : 0.0;

@@ -167,15 +167,15 @@ CsrMatrix granii::permuteSymmetric(const CsrMatrix &A, const Permutation &Perm) 
   const auto &Vals = A.values();
   const bool Weighted = A.isWeighted();
 
-  std::vector<int64_t> NewOffsets(static_cast<size_t>(N) + 1, 0);
+  AlignedVector<int64_t> NewOffsets(static_cast<size_t>(N) + 1, 0);
   for (int64_t NewRow = 0; NewRow < N; ++NewRow) {
     int32_t OldRow = Perm.newToOld(NewRow);
     NewOffsets[static_cast<size_t>(NewRow) + 1] =
         NewOffsets[static_cast<size_t>(NewRow)] + A.rowNnz(OldRow);
   }
 
-  std::vector<int32_t> NewCols(static_cast<size_t>(A.nnz()));
-  std::vector<float> NewVals(Weighted ? static_cast<size_t>(A.nnz()) : 0);
+  AlignedVector<int32_t> NewCols(static_cast<size_t>(A.nnz()));
+  AlignedVector<float> NewVals(Weighted ? static_cast<size_t>(A.nnz()) : 0);
   // Per row: map columns through OldToNew, then sort (values follow their
   // columns; each row is an index-value pair sort when weighted).
   std::vector<std::pair<int32_t, float>> RowBuf;
@@ -235,12 +235,15 @@ int64_t granii::bandwidthOf(const CsrMatrix &A) {
   const auto &Offsets = A.rowOffsets();
   const auto &Cols = A.colIndices();
   int64_t Bandwidth = 0;
-  for (int64_t R = 0; R < A.rows(); ++R)
-    for (int64_t K = Offsets[static_cast<size_t>(R)];
-         K < Offsets[static_cast<size_t>(R) + 1]; ++K) {
-      int64_t D = R - Cols[static_cast<size_t>(K)];
-      Bandwidth = std::max(Bandwidth, D < 0 ? -D : D);
-    }
+  for (int64_t R = 0; R < A.rows(); ++R) {
+    int64_t Begin = Offsets[static_cast<size_t>(R)];
+    int64_t End = Offsets[static_cast<size_t>(R) + 1];
+    if (Begin == End)
+      continue;
+    // Columns are sorted within a row: its first and last are the extremes.
+    Bandwidth = std::max({Bandwidth, R - Cols[static_cast<size_t>(Begin)],
+                          Cols[static_cast<size_t>(End) - 1] - R});
+  }
   return Bandwidth;
 }
 

@@ -356,6 +356,27 @@ private:
     return Exec.timeKernel(Desc, Stats, Body);
   }
 
+  /// Profile labels of value \p Id: its debug name (or "v<id>") and its
+  /// current shape, e.g. "2048x64", "2048", "nnz=9854".
+  std::string valueName(int Id) const {
+    const PlanValue &Def = Plan.Values[static_cast<size_t>(Id)];
+    return Def.DebugName.empty() ? "v" + std::to_string(Id) : Def.DebugName;
+  }
+  std::string shapeOf(int Id) const {
+    const RtValue &V = Values[static_cast<size_t>(Id)];
+    switch (V.Kind) {
+    case PlanValueKind::Dense:
+      return std::to_string(V.dense().rows()) + "x" +
+             std::to_string(V.dense().cols());
+    case PlanValueKind::Sparse:
+      return "nnz=" + std::to_string(V.sparse().nnz());
+    case PlanValueKind::Diag:
+    case PlanValueKind::NodeVec:
+      break;
+    }
+    return std::to_string(V.vec().size());
+  }
+
   const Executor &Exec;
   const CompositionPlan &Plan;
   const LayerInputs &Inputs;
@@ -569,24 +590,9 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
     StepProfile Local;
     StepProfile &P =
         Result.StepProfiles.empty() ? Local : Result.StepProfiles[StepIdx];
-    const PlanValue &Def = Plan.Values[static_cast<size_t>(Step.Result)];
-    P.Value = Def.DebugName.empty() ? "v" + std::to_string(Step.Result)
-                                    : Def.DebugName;
+    P.Value = valueName(Step.Result);
     P.Op = stepOpName(Step.Op);
-    const RtValue &OutV = val(Step.Result);
-    switch (OutV.Kind) {
-    case PlanValueKind::Dense:
-      P.Shape = std::to_string(OutV.dense().rows()) + "x" +
-                std::to_string(OutV.dense().cols());
-      break;
-    case PlanValueKind::Sparse:
-      P.Shape = "nnz=" + std::to_string(OutV.sparse().nnz());
-      break;
-    case PlanValueKind::Diag:
-    case PlanValueKind::NodeVec:
-      P.Shape = std::to_string(OutV.vec().size());
-      break;
-    }
+    P.Shape = shapeOf(Step.Result);
     P.Setup = Step.Setup;
     P.Seconds = Seconds;
     P.Flops = Ws.descs()[StepIdx].flops();
@@ -660,9 +666,20 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
   if (!GS.Schedule.empty() && !GS.ImplicitSeed)
     GradDense(Plan.OutputValue).fill(1.0f);
 
+  if (Exec.stepProfiling())
+    Result.BackwardProfiles.resize(GS.Schedule.size());
+  else
+    Result.BackwardProfiles.clear();
+
   double Backward = 0.0;
-  for (const VjpStep &V : GS.Schedule) {
+  for (size_t VjpIdx = 0; VjpIdx < GS.Schedule.size(); ++VjpIdx) {
+    const VjpStep &V = GS.Schedule[VjpIdx];
     const PlanStep &Step = Plan.Steps[static_cast<size_t>(V.Step)];
+    // One span per VJP, named apart from the forward ops ("vjp:gemm");
+    // guarded like the forward step spans, since the name allocates.
+    TraceSpan Span;
+    if (Trace::get().enabled())
+      Span = TraceSpan("vjp:" + stepOpName(Step.Op), "executor");
     const auto Res = static_cast<size_t>(Step.Result);
     const int Id = Step.Operands[static_cast<size_t>(V.Operand)];
     const bool Acc = V.Accumulates;
@@ -671,12 +688,13 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
     auto OpVal = [&](int I) -> const RtValue & {
       return Values[static_cast<size_t>(Step.Operands[I])];
     };
+    double Seconds = 0.0;
 
     switch (Step.Op) {
     case StepOp::Gemm: {
       const DenseMatrix &A = OpVal(0).dense();
       const DenseMatrix &B = OpVal(1).dense();
-      Backward += chargeDesc(V.Desc, [&] {
+      Seconds = chargeDesc(V.Desc, [&] {
         if (V.Operand == 0) {
           IntoGrad(Id, Acc, [&](DenseMatrix &DA) {
             kernels::gemmTransposedRhsInto(DY, B, DA);
@@ -698,7 +716,7 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
       const DenseMatrix &X = OpVal(1).dense();
       if (V.Operand == 0) {
         // dS_ij = dY_i . X_j (SDDMM at the sparse pattern).
-        Backward += chargeDesc(V.Desc, [&] {
+        Seconds = chargeDesc(V.Desc, [&] {
           std::vector<float> &DS = GradVec(Id);
           if (!Acc) {
             kernels::sddmmInto(S, DY, X, Semiring::plusTimes(), DS);
@@ -718,7 +736,7 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
         Result.SetupSeconds += chargeDesc(cscBuildDesc(S.rows(), S.nnz()),
                                           [&] { Sparse.buildTranspose(); });
       }
-      Backward += chargeDesc(V.Desc, [&] {
+      Seconds = chargeDesc(V.Desc, [&] {
         IntoGrad(Id, Acc, [&](DenseMatrix &DX) {
           Sparse.spmmTransposedInto(S, DY, semiringOf(Step.Op), DX);
         });
@@ -727,7 +745,7 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
     }
     case StepOp::RowBcast: {
       const std::vector<float> &Dv = OpVal(0).vec();
-      Backward += chargeDesc(V.Desc, [&] {
+      Seconds = chargeDesc(V.Desc, [&] {
         IntoGrad(Id, Acc, [&](DenseMatrix &DH) {
           kernels::rowBroadcastMulInto(Dv, DY, DH);
         });
@@ -736,7 +754,7 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
     }
     case StepOp::ColBcast: {
       const std::vector<float> &Dv = OpVal(1).vec();
-      Backward += chargeDesc(V.Desc, [&] {
+      Seconds = chargeDesc(V.Desc, [&] {
         IntoGrad(Id, Acc, [&](DenseMatrix &DH) {
           kernels::colBroadcastMulInto(DY, Dv, DH);
         });
@@ -747,7 +765,7 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
     case StepOp::ScaleDense: {
       const float Alpha =
           Step.Op == StepOp::AddDense ? 1.0f : static_cast<float>(Step.Param);
-      Backward += chargeDesc(V.Desc, [&] {
+      Seconds = chargeDesc(V.Desc, [&] {
         DenseMatrix &G = GradDense(Id);
         if (Acc)
           kernels::axpyInto(Alpha, DY, G);
@@ -759,7 +777,7 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
     case StepOp::Relu: {
       const DenseMatrix &Pre = OpVal(0).dense();
       const bool Seed = GS.ImplicitSeed && Step.Result == Plan.OutputValue;
-      Backward += chargeDesc(V.Desc, [&] {
+      Seconds = chargeDesc(V.Desc, [&] {
         IntoGrad(Id, Acc, [&](DenseMatrix &DI) {
           if (Seed)
             kernels::reluMaskInto(Pre, DI);
@@ -774,7 +792,7 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
       const std::vector<float> &AVec = OpVal(1).vec();
       if (V.Operand == 0) {
         // dTheta_rc = dy_r * a_c.
-        Backward += chargeDesc(V.Desc, [&] {
+        Seconds = chargeDesc(V.Desc, [&] {
           DenseMatrix &DTheta = GradDense(Id);
           for (int64_t R = 0; R < Theta.rows(); ++R) {
             float G = DYv[static_cast<size_t>(R)];
@@ -792,7 +810,7 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
         break;
       }
       // da_c = sum_r dy_r * Theta_rc.
-      Backward += chargeDesc(V.Desc, [&] {
+      Seconds = chargeDesc(V.Desc, [&] {
         std::vector<float> &DA = GradVec(Id);
         if (!Acc)
           std::fill(DA.begin(), DA.end(), 0.0f);
@@ -809,7 +827,7 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
       const CsrMatrix &Mask = OpVal(0).sparse();
       const auto &Offsets = Mask.rowOffsets();
       const auto &Cols = Mask.colIndices();
-      Backward += chargeDesc(V.Desc, [&] {
+      Seconds = chargeDesc(V.Desc, [&] {
         std::vector<float> &D = GradVec(Id);
         if (V.Operand == 1) {
           // dsrc_i = sum of row i's edge gradients.
@@ -834,7 +852,7 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
     case StepOp::EdgeLeakyRelu: {
       const AlignedVector<float> &Pre = OpVal(0).sparse().values();
       const float Slope = static_cast<float>(Step.Param);
-      Backward += chargeDesc(V.Desc, [&] {
+      Seconds = chargeDesc(V.Desc, [&] {
         std::vector<float> &DIn = GradVec(Id);
         for (size_t I = 0; I < Pre.size(); ++I) {
           float G = DYv[I] * (Pre[I] > 0.0f ? 1.0f : Slope);
@@ -845,7 +863,7 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
     }
     case StepOp::EdgeSoftmax: {
       const CsrMatrix &Alpha = Values[Res].sparse();
-      Backward += chargeDesc(V.Desc, [&] {
+      Seconds = chargeDesc(V.Desc, [&] {
         std::vector<float> &DIn = GradVec(Id);
         const auto &Offsets = Alpha.rowOffsets();
         const auto &AVals = Alpha.values();
@@ -874,6 +892,27 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
     case StepOp::InvSqrtVec:
     case StepOp::InvVec:
       graniiUnreachable("graph-only step in the backward schedule");
+    }
+    Backward += Seconds;
+
+    if (!Result.BackwardProfiles.empty() || Span.active()) {
+      StepProfile Local;
+      StepProfile &P = Result.BackwardProfiles.empty()
+                           ? Local
+                           : Result.BackwardProfiles[VjpIdx];
+      P.Value = "d" + valueName(Id);
+      P.Op = "vjp:" + stepOpName(Step.Op);
+      P.Shape = shapeOf(Id);
+      P.Seconds = Seconds;
+      P.Flops = V.Desc.flops();
+      P.Bytes = V.Desc.bytes();
+      if (Span.active()) {
+        Span.setArg("value", P.Value);
+        Span.setArg("shape", P.Shape);
+        Span.setArg("charged_seconds", P.Seconds);
+        Span.setArg("flops", P.Flops);
+        Span.setArg("bytes", P.Bytes);
+      }
     }
   }
   Result.BackwardSeconds = Backward;
@@ -1124,6 +1163,7 @@ void Executor::execute(const CompositionPlan &Plan, const LayerInputs &Inputs,
     Result.WeightGrads.clear();
     Result.AttnGrads.clear();
     Result.FeatureGrad = DenseMatrix();
+    Result.BackwardProfiles.clear();
   }
   if (Policy != ReorderPolicy::None)
     PermSeconds += unpermuteRows(*this, RS, Result.Output, RS.PermOutput, Ws);

@@ -193,6 +193,12 @@ struct ExecResult {
   /// Per-step profiles, parallel to Steps; empty unless the executor's
   /// step profiling is enabled (see Executor::setStepProfiling).
   std::vector<StepProfile> StepProfiles;
+  /// Per-VJP profiles of the backward pass, parallel to the workspace's
+  /// backward schedule (the plan's backwardDescs() for the run's gradient
+  /// request); empty after run() and unless step profiling is enabled.
+  /// Their Seconds sum to BackwardSeconds. Value names the gradient ("dW")
+  /// and Op the VJP ("vjp:gemm"); StepProfiles stays forward-only.
+  std::vector<StepProfile> BackwardProfiles;
 
   /// Gradients produced by runTraining (empty after run()): one entry per
   /// weight leaf, keyed by its name ("W", "W0", ...), and the feature

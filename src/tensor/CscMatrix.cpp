@@ -41,14 +41,14 @@ CscMatrix CscMatrix::fromCsr(const CsrMatrix &A) {
 CsrMatrix CscMatrix::toCsr(std::span<const float> Vals) const {
   GRANII_CHECK(Vals.empty() || static_cast<int64_t>(Vals.size()) == Nnz,
                "csc->csr value count mismatch");
-  std::vector<int64_t> Offsets(RowOffsets.begin(), RowOffsets.end());
-  std::vector<int32_t> OutCols(static_cast<size_t>(Nnz));
+  AlignedVector<int64_t> Offsets(RowOffsets.begin(), RowOffsets.end());
+  AlignedVector<int32_t> OutCols(static_cast<size_t>(Nnz));
   // Each entry remembers its CSR slot, so reconstruction is a scatter.
   for (int64_t Col = 0; Col < NumCols; ++Col)
     for (int64_t K = ColOffsets[Col]; K < ColOffsets[Col + 1]; ++K)
       OutCols[static_cast<size_t>(CsrIdx[K])] = static_cast<int32_t>(Col);
   return CsrMatrix(NumRows, NumCols, std::move(Offsets), std::move(OutCols),
-                   std::vector<float>(Vals.begin(), Vals.end()));
+                   AlignedVector<float>(Vals.begin(), Vals.end()));
 }
 
 void CscMatrix::verify() const {

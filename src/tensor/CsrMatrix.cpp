@@ -11,15 +11,10 @@
 using namespace granii;
 
 CsrMatrix::CsrMatrix(int64_t Rows, int64_t Columns,
-                     std::vector<int64_t> Offsets, std::vector<int32_t> Cols,
-                     std::vector<float> Vals)
-    : NumRows(Rows), NumCols(Columns),
-      RowOffsets(Offsets.begin(), Offsets.end()),
-      ColIndices(Cols.begin(), Cols.end()),
-      Values(Vals.begin(), Vals.end()) {
-  // The parameter vectors use the default allocator (keeping brace-list
-  // construction ergonomic); their contents are copied into the aligned
-  // members above.
+                     AlignedVector<int64_t> Offsets,
+                     AlignedVector<int32_t> Cols, AlignedVector<float> Vals)
+    : NumRows(Rows), NumCols(Columns), RowOffsets(std::move(Offsets)),
+      ColIndices(std::move(Cols)), Values(std::move(Vals)) {
   assert(RowOffsets.size() == static_cast<size_t>(Rows) + 1 &&
          "row offset array must have rows()+1 entries");
   assert((Values.empty() || Values.size() == ColIndices.size()) &&
@@ -61,7 +56,7 @@ DenseMatrix CsrMatrix::toDense() const {
 }
 
 CsrMatrix CsrMatrix::transposed() const {
-  std::vector<int64_t> OutOffsets(static_cast<size_t>(NumCols) + 1, 0);
+  AlignedVector<int64_t> OutOffsets(static_cast<size_t>(NumCols) + 1, 0);
   const int64_t Nnz = nnz();
   // Column-count histogram. Parallel path: each chunk of the edge array
   // builds a private histogram, then the histograms merge serially in chunk
@@ -94,8 +89,8 @@ CsrMatrix CsrMatrix::transposed() const {
   for (int64_t C = 0; C < NumCols; ++C)
     OutOffsets[static_cast<size_t>(C) + 1] += OutOffsets[static_cast<size_t>(C)];
 
-  std::vector<int32_t> OutCols(ColIndices.size());
-  std::vector<float> OutVals(Values.empty() ? 0 : ColIndices.size());
+  AlignedVector<int32_t> OutCols(ColIndices.size());
+  AlignedVector<float> OutVals(Values.empty() ? 0 : ColIndices.size());
   std::vector<int64_t> Cursor(OutOffsets.begin(), OutOffsets.end() - 1);
   for (int64_t R = 0; R < NumRows; ++R) {
     for (int64_t K = RowOffsets[R]; K < RowOffsets[R + 1]; ++K) {

@@ -29,10 +29,10 @@ class CsrMatrix {
 public:
   CsrMatrix() : RowOffsets(1, 0) {}
 
-  /// Builds a CSR matrix from components. \p Vals may be empty (unweighted)
-  /// or have the same length as \p Cols.
-  CsrMatrix(int64_t Rows, int64_t Columns, std::vector<int64_t> Offsets,
-            std::vector<int32_t> Cols, std::vector<float> Vals);
+  /// Builds a CSR matrix from components, adopting their storage. \p Vals
+  /// may be empty (unweighted) or have the same length as \p Cols.
+  CsrMatrix(int64_t Rows, int64_t Columns, AlignedVector<int64_t> Offsets,
+            AlignedVector<int32_t> Cols, AlignedVector<float> Vals);
 
   int64_t rows() const { return NumRows; }
   int64_t cols() const { return NumCols; }

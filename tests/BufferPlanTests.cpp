@@ -15,6 +15,7 @@
 #include "runtime/BufferPlan.h"
 #include "runtime/Executor.h"
 #include "support/ThreadPool.h"
+#include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -346,6 +347,82 @@ TEST(PlanWorkspaceExec, StepProfilesFilledWhenEnabled) {
   Exec.setStepProfiling(false);
   Exec.run(Plan, Params.inputs(), Params.Stats, Ws, R);
   EXPECT_TRUE(R.StepProfiles.empty());
+}
+
+TEST(PlanWorkspaceExec, BackwardProfilesParallelTheSchedule) {
+  GnnModel M = makeModel(ModelKind::GCN);
+  LayerParams Params = makeLayerParams(M, skewedGraph(), 16, 8, 5);
+  Executor Exec(HardwareModel::byName("cpu"));
+  auto Plans = enumerateCompositions(M.Root);
+  ASSERT_FALSE(Plans.empty());
+  LayerInputs Inputs = Params.inputs();
+
+  for (const CompositionPlan &Plan : Plans) {
+    PlanWorkspace Ws;
+    ExecResult R;
+    Exec.setStepProfiling(false);
+    Exec.runTraining(Plan, Inputs, Params.Stats, Ws, R);
+    EXPECT_TRUE(R.BackwardProfiles.empty()); // profiling off by default
+
+    Exec.setStepProfiling(true);
+    Exec.runTraining(Plan, Inputs, Params.Stats, Ws, R);
+    std::vector<VjpStep> Schedule = Plan.backwardDescs(Inputs.binding(&Plan));
+    ASSERT_EQ(R.BackwardProfiles.size(), Schedule.size()) << Plan.Name;
+    double Sum = 0.0;
+    for (size_t I = 0; I < Schedule.size(); ++I) {
+      const StepProfile &P = R.BackwardProfiles[I];
+      const PlanStep &Step = Plan.Steps[static_cast<size_t>(Schedule[I].Step)];
+      EXPECT_EQ(P.Op, "vjp:" + stepOpName(Step.Op)) << Plan.Name;
+      EXPECT_EQ(P.Value.front(), 'd') << Plan.Name;
+      EXPECT_FALSE(P.Shape.empty()) << Plan.Name;
+      EXPECT_FALSE(P.Setup);
+      EXPECT_EQ(P.Bytes, Schedule[I].Desc.bytes()) << Plan.Name;
+      EXPECT_GE(P.Seconds, 0.0);
+      Sum += P.Seconds;
+    }
+    // Summed in execution order, like the pass's own total.
+    EXPECT_EQ(Sum, R.BackwardSeconds) << Plan.Name;
+    EXPECT_GT(R.BackwardSeconds, 0.0) << Plan.Name;
+    // The forward profiles stay forward-only.
+    EXPECT_EQ(R.StepProfiles.size(), Plan.Steps.size());
+
+    // An inference run on the same result drops the backward rows.
+    Exec.run(Plan, Inputs, Params.Stats, Ws, R);
+    EXPECT_TRUE(R.BackwardProfiles.empty());
+  }
+}
+
+TEST(PlanWorkspaceExec, EveryVjpGetsItsOwnTraceSpan) {
+  GnnModel M = makeModel(ModelKind::GCN);
+  LayerParams Params = makeLayerParams(M, skewedGraph(), 16, 8, 5);
+  Executor Exec(HardwareModel::byName("cpu"));
+  auto Plans = enumerateCompositions(M.Root);
+  ASSERT_FALSE(Plans.empty());
+  const CompositionPlan &Plan = Plans[0];
+  LayerInputs Inputs = Params.inputs();
+  PlanWorkspace Ws;
+  ExecResult R;
+
+  Trace::get().start();
+  Exec.runTraining(Plan, Inputs, Params.Stats, Ws, R);
+  Trace::get().stop();
+  std::string Json = Trace::get().toJson();
+  Trace::get().clear();
+
+  auto Count = [&](const std::string &Needle) {
+    size_t N = 0;
+    for (size_t At = Json.find(Needle); At != std::string::npos;
+         At = Json.find(Needle, At + 1))
+      ++N;
+    return N;
+  };
+  std::vector<VjpStep> Schedule = Plan.backwardDescs(Inputs.binding(&Plan));
+  ASSERT_FALSE(Schedule.empty());
+  EXPECT_EQ(Count("\"name\":\"vjp:"), Schedule.size());
+  size_t Gemms = 0;
+  for (const VjpStep &V : Schedule)
+    Gemms += Plan.Steps[static_cast<size_t>(V.Step)].Op == StepOp::Gemm;
+  EXPECT_EQ(Count("\"name\":\"vjp:gemm\""), Gemms);
 }
 
 TEST(PlanWorkspaceExec, OptimizerReusesWorkspaceAcrossExecutes) {

@@ -125,6 +125,25 @@ TEST(Cli, RunTrainingMode) {
   EXPECT_NE(Out.find("fwd+bwd"), std::string::npos);
 }
 
+TEST(Cli, RunTrainProfileListsBackwardSteps) {
+  std::string Path = gcnExamplePath();
+  std::string Out, Err;
+  ASSERT_EQ(runCli({"run", Path, "--graph", "synth:coauthors", "--kin", "16",
+                    "--kout", "8", "--train", "--profile"},
+                   Out, Err),
+            0)
+      << Err;
+  // Backward rows follow the forward steps, numbered b0, b1, ...
+  size_t Forward = Out.find("gemm");
+  size_t Backward = Out.find("vjp:");
+  ASSERT_NE(Forward, std::string::npos);
+  ASSERT_NE(Backward, std::string::npos);
+  EXPECT_LT(Forward, Backward);
+  EXPECT_NE(Out.find("vjp:gemm"), std::string::npos);
+  EXPECT_NE(Out.find("| b0 "), std::string::npos) << Out;
+  EXPECT_NE(Out.find("steady-state allocations: 0"), std::string::npos);
+}
+
 TEST(Cli, RunWithReorderReportsLocalityImprovement) {
   std::string Path = gcnExamplePath();
   std::string Out, Err;

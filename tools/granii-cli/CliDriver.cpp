@@ -338,16 +338,20 @@ int profileRun(const CompositionPlan &Plan, const LayerParams &Params,
   std::vector<std::string> Header = {"step", "value", "op",     "shape",
                                      "ms",   "MB",    "GFLOP/s", "GB/s"};
   std::vector<std::vector<std::string>> Rows;
-  for (size_t I = 0; I < R.StepProfiles.size(); ++I) {
-    const StepProfile &P = R.StepProfiles[I];
+  auto AddRow = [&](std::string Step, const StepProfile &P) {
     double GFlops = P.Seconds > 0.0 ? P.Flops / P.Seconds / 1e9 : 0.0;
     double GBps = P.Seconds > 0.0 ? P.Bytes / P.Seconds / 1e9 : 0.0;
-    Rows.push_back({std::to_string(I) + (P.Setup ? " (setup)" : ""),
-                    P.Value, P.Op, P.Shape,
+    Rows.push_back({std::move(Step), P.Value, P.Op, P.Shape,
                     formatDouble(P.Seconds * 1e3, 4),
-                    formatDouble(P.Bytes / 1e6, 3),
-                    formatDouble(GFlops, 2), formatDouble(GBps, 2)});
-  }
+                    formatDouble(P.Bytes / 1e6, 3), formatDouble(GFlops, 2),
+                    formatDouble(GBps, 2)});
+  };
+  for (size_t I = 0; I < R.StepProfiles.size(); ++I)
+    AddRow(std::to_string(I) + (R.StepProfiles[I].Setup ? " (setup)" : ""),
+           R.StepProfiles[I]);
+  // Training: the backward pass's VJPs follow, in execution order.
+  for (size_t I = 0; I < R.BackwardProfiles.size(); ++I)
+    AddRow("b" + std::to_string(I), R.BackwardProfiles[I]);
   Out += "\nper-step profile (steady state):\n" + renderTable(Header, Rows);
 
   const BufferPlan *Buffers = Ws.bufferPlan();
