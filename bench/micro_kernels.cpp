@@ -62,7 +62,7 @@ static void BM_SpmmUnweighted(benchmark::State &State) {
   DenseMatrix H = randomDense(G.numNodes(), State.range(0), 3);
   DenseMatrix Out(G.numNodes(), State.range(0));
   for (auto _ : State) {
-    kernels::spmmInto(G.adjacency(), H, Semiring::plusCopy(), Out);
+    kernels::spmmInto(G.adjacency(), {}, H, Out);
     benchmark::DoNotOptimize(Out.data());
   }
   State.SetItemsProcessed(State.iterations() * G.numEdges() * State.range(0));
@@ -77,7 +77,7 @@ static void BM_SpmmWeighted(benchmark::State &State) {
   DenseMatrix H = randomDense(G.numNodes(), State.range(0), 4);
   DenseMatrix Out(G.numNodes(), State.range(0));
   for (auto _ : State) {
-    kernels::spmmInto(A, H, Semiring::plusTimes(), Out);
+    kernels::spmmInto(A, A.values(), H, Out);
     benchmark::DoNotOptimize(Out.data());
   }
   State.SetItemsProcessed(State.iterations() * 2 * G.numEdges() *
@@ -90,7 +90,7 @@ static void BM_SddmmDot(benchmark::State &State) {
   DenseMatrix U = randomDense(G.numNodes(), State.range(0), 5);
   std::vector<float> Out(static_cast<size_t>(G.numEdges()));
   for (auto _ : State) {
-    kernels::sddmmInto(G.adjacency(), U, U, Semiring::plusTimes(), Out);
+    kernels::sddmmInto(G.adjacency(), U, U, Out);
     benchmark::DoNotOptimize(Out.data());
   }
 }
@@ -174,7 +174,7 @@ static void BM_SpmmReorderAblation(benchmark::State &State) {
   DenseMatrix H = randomDense(G.numNodes(), K, 9);
   DenseMatrix Out(G.numNodes(), K);
   for (auto _ : State) {
-    kernels::spmmInto(G.adjacency(), H, Semiring::plusCopy(), Out);
+    kernels::spmmInto(G.adjacency(), {}, H, Out);
     benchmark::DoNotOptimize(Out.data());
   }
   State.SetLabel(
@@ -255,10 +255,7 @@ int runJsonMode(const std::string &Path) {
       Measure("spmm_u/64", G.name(), K, K,
               {PrimitiveKind::SpMMUnweighted, G.numNodes(), K, 0,
                G.numEdges()},
-              [&] {
-                kernels::spmmInto(G.adjacency(), H, Semiring::plusCopy(),
-                                  Out);
-              });
+              [&] { kernels::spmmInto(G.adjacency(), {}, H, Out); });
     }
     {
       const int64_t K = 64;
@@ -270,7 +267,7 @@ int runJsonMode(const std::string &Path) {
       Measure("spmm_w/64", G.name(), K, K,
               {PrimitiveKind::SpMMWeighted, G.numNodes(), K, 0,
                G.numEdges()},
-              [&] { kernels::spmmInto(A, H, Semiring::plusTimes(), Out); });
+              [&] { kernels::spmmInto(A, A.values(), H, Out); });
     }
     {
       const int64_t K = 32;
@@ -278,10 +275,7 @@ int runJsonMode(const std::string &Path) {
       std::vector<float> Out(static_cast<size_t>(G.numEdges()));
       Measure("sddmm_dot/32", G.name(), K, K,
               {PrimitiveKind::SddmmDot, G.numNodes(), 0, K, G.numEdges()},
-              [&] {
-                kernels::sddmmInto(G.adjacency(), U, U,
-                                   Semiring::plusTimes(), Out);
-              });
+              [&] { kernels::sddmmInto(G.adjacency(), U, U, Out); });
     }
     {
       const int64_t K = 128;

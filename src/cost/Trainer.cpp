@@ -126,13 +126,13 @@ granii::collectProfileData(const HardwareModel &Hw,
       DenseMatrix H(N, K), OutNK(N, K);
       H.fillRandom(Generator);
       Prof.sample({PrimitiveKind::SpMMUnweighted, N, K, 0, E}, Stats, [&] {
-        kernels::spmmInto(A, H, Semiring::plusCopy(), OutNK);
+        kernels::spmmInto(A, {}, H, OutNK);
       });
       Prof.sample({PrimitiveKind::SpMMWeighted, N, K, 0, E}, Stats, [&] {
-        kernels::spmmInto(Aw, H, Semiring::plusTimes(), OutNK);
+        kernels::spmmInto(Aw, Aw.values(), H, OutNK);
       });
       Prof.sample({PrimitiveKind::SddmmDot, N, 0, K, E}, Stats, [&] {
-        kernels::sddmmInto(A, H, H, Semiring::plusTimes(), OutE);
+        kernels::sddmmInto(A, H, H, OutE);
       });
       Prof.sample({PrimitiveKind::RowBroadcast, N, K, 0, 0}, Stats,
                   [&] { kernels::rowBroadcastMulInto(DiagN, H, OutNK); });

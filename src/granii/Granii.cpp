@@ -2,7 +2,6 @@
 
 #include "granii/Granii.h"
 
-#include "assoc/PlanSerialize.h"
 #include "support/Error.h"
 #include "verify/VerifyBuffers.h"
 #include "verify/VerifyPlan.h"
@@ -11,9 +10,6 @@
 #include "support/Trace.h"
 
 #include <cassert>
-#include <fstream>
-#include <iostream>
-#include <sstream>
 #include <cmath>
 
 using namespace granii;
@@ -90,12 +86,7 @@ void Optimizer::verifyPromoted() const {
   if (Opts.Verify < VerifyLevel::Fast)
     return;
   DiagEngine Diags;
-  for (const CompositionPlan &Plan : Promoted) {
-    verifyPlanDiags(Plan, Diags, "plan");
-    verifyScenarioAnnotations(Plan, Diags, "prune");
-  }
-  verifySurvivorSet(Promoted, Diags, "prune");
-  if (Diags.hasErrors())
+  if (!verifyPromotedSet(Promoted, Diags))
     GRANII_FATAL("promoted plan verification failed:\n" + Diags.render());
 }
 
@@ -110,40 +101,6 @@ Optimizer::Optimizer(GnnModel ModelIn, OptimizerOptions OptsIn,
   // A deserialized plan set gets the same scrutiny as a freshly compiled
   // one: the file may be stale or hand-edited.
   verifyPromoted();
-}
-
-bool Optimizer::saveCompiled(const std::string &Path) const {
-  std::ofstream Out(Path);
-  if (!Out)
-    return false;
-  Out << serializePlans(Promoted);
-  return static_cast<bool>(Out);
-}
-
-std::optional<Optimizer> Optimizer::loadCompiled(const std::string &Path,
-                                                 GnnModel Model,
-                                                 OptimizerOptions Opts,
-                                                 const CostModel *Cost) {
-  std::ifstream In(Path);
-  if (!In)
-    return std::nullopt;
-  std::ostringstream Contents;
-  Contents << In.rdbuf();
-  std::string ParseError;
-  std::optional<std::vector<CompositionPlan>> Plans =
-      deserializePlans(Contents.str(), &ParseError, Path);
-  if (!Plans || Plans->empty()) {
-    // A present-but-corrupt plan file deserves a diagnostic, not the same
-    // silent nullopt a missing file gets.
-    if (!ParseError.empty())
-      std::cerr << Diag{DiagSeverity::Warning, "plan-load", Path, ParseError,
-                        "re-run the offline stage to regenerate the file"}
-                       .toString()
-                << "\n";
-    return std::nullopt;
-  }
-  return Optimizer(std::move(Model), std::move(Opts), Cost,
-                   std::move(*Plans));
 }
 
 Selection Optimizer::select(const CsrMatrix &AdjSelf,

@@ -26,8 +26,6 @@
 #include "models/Models.h"
 #include "runtime/Executor.h"
 
-#include <optional>
-
 namespace granii {
 
 /// Configuration of an Optimizer instance.
@@ -136,17 +134,6 @@ public:
   ExecResult execute(const Selection &Sel, const LayerParams &Params,
                      bool Training) const;
 
-  /// Persists the offline stage's output (the promoted candidate set) so a
-  /// later process can skip enumeration and pruning entirely.
-  bool saveCompiled(const std::string &Path) const;
-
-  /// Constructs an optimizer from a saveCompiled() file; returns nullopt if
-  /// the file is missing or malformed.
-  static std::optional<Optimizer> loadCompiled(const std::string &Path,
-                                               GnnModel Model,
-                                               OptimizerOptions Opts,
-                                               const CostModel *Cost);
-
   /// Constructs an optimizer directly from an already-compiled candidate
   /// set, bypassing enumeration and pruning. This is the compile-once /
   /// run-many entry point the serving layer's plan cache builds on: a
@@ -162,13 +149,14 @@ public:
   }
 
 private:
-  /// Used by loadCompiled/fromCompiled to bypass enumeration.
+  /// Used by fromCompiled to bypass enumeration.
   Optimizer(GnnModel Model, OptimizerOptions Opts, const CostModel *Cost,
             std::vector<CompositionPlan> Precompiled);
 
-  /// Runs the plan-set checks on Promoted (plan legality, scenario
-  /// annotations, survivor-set invariant) when Opts.Verify >= Fast; aborts
-  /// with the rendered diagnostics on violation.
+  /// Runs verifyPromotedSet on Promoted when Opts.Verify >= Fast; aborts
+  /// with the rendered diagnostics on violation. Callers that hold
+  /// untrusted plans (the plan cache's disk tier) run verifyPromotedSet
+  /// themselves first and treat a failure as a miss.
   void verifyPromoted() const;
 
   GnnModel Model;

@@ -47,10 +47,6 @@ const char *isaLevelName(IsaLevel Level);
 /// anything unrecognized.
 std::optional<IsaLevel> parseIsaLevel(const std::string &Name);
 
-/// Combine stage of the fused sum-reduction g-SpMM path (mirrors
-/// CombineOpKind for the cases the fast path handles).
-enum class SpmmCombine { Mul, CopyRhs, Add };
-
 /// The per-ISA kernel table. Entries operate on whole row (or element)
 /// ranges so the indirect call sits outside the inner loops; Kernels.cpp
 /// invokes them from inside its thread-pool partitions. All pointers are
@@ -60,7 +56,7 @@ struct SimdOps {
   const char *Name = "scalar";
 
   /// Measured throughput of this level relative to the scalar path on the
-  /// compute-bound dense (packed GEMM) and memory-bound sparse (g-SpMM)
+  /// compute-bound dense (packed GEMM) and memory-bound sparse (SpMM)
   /// kernels. HardwareModel::DeviceParams::cpu() multiplies its base
   /// gflops by these so the planner's analytic costs track the active ISA;
   /// re-derive them with `micro_kernels --json` per docs/SIMD.md.
@@ -89,14 +85,14 @@ struct SimdOps {
                            int64_t NOut, int64_t RowBegin, int64_t RowEnd) =
       nullptr;
 
-  /// Fused sum-reduction g-SpMM over CSR rows [RowBegin, RowEnd) and the
-  /// first \p Width feature columns. \p Vals is null for unweighted
-  /// matrices; \p Mean rescales each row by 1/degree after accumulation.
+  /// SpMM over CSR rows [RowBegin, RowEnd) and the first \p Width feature
+  /// columns: each row sums its neighbors' B rows, scaled by \p Vals[k]
+  /// when \p Vals is non-null and added as they are when it is null
+  /// (unit weights).
   void (*SpmmRowRange)(const int64_t *Offsets, const int32_t *Cols,
                        const float *Vals, const float *B, int64_t Ldb,
                        float *Dst, int64_t LdDst, int64_t Width,
-                       SpmmCombine Combine, bool Mean, int64_t RowBegin,
-                       int64_t RowEnd) = nullptr;
+                       int64_t RowBegin, int64_t RowEnd) = nullptr;
 
   /// Plus-times SDDMM (per-edge dot product over the first \p Width
   /// features) over CSR rows [RowBegin, RowEnd).

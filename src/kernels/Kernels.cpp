@@ -15,13 +15,12 @@
 // first, so a reused buffer yields the same bits as a fresh zero-filled
 // one).
 //
-// ISA dispatch: the hot row routines (packed GEMM family, fused sum g-SpMM,
-// plus-times SDDMM, and the elementwise map family) are fetched once per
-// kernel call from the active SimdOps table (kernels/Dispatch.h) and invoked
-// on whole row ranges inside the thread-pool partitions, so the indirect
-// call never sits in an inner loop. Each table preserves the determinism
-// contract above within its own ISA level; the general semiring paths below
-// are shared scalar code and thus identical at every level.
+// ISA dispatch: the hot row routines (packed GEMM family, SpMM, SDDMM, and
+// the elementwise map family) are fetched once per kernel call from the
+// active SimdOps table (kernels/Dispatch.h) and invoked on whole row ranges
+// inside the thread-pool partitions, so the indirect call never sits in an
+// inner loop. Each table preserves the determinism contract above within its
+// own ISA level.
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,24 +63,6 @@ void checkVecDst(std::span<const float> Out, size_t Size, const char *Kernel) {
                std::string(Kernel) + " destination length mismatch (have " +
                    std::to_string(Out.size()) + ", need " +
                    std::to_string(Size) + ")");
-}
-
-/// Maps the fused sum-reduction cases onto the dispatch table's combine tag.
-SpmmCombine spmmCombineFor(const Semiring &S) {
-  switch (S.Combine) {
-  case CombineOpKind::Mul:
-    return SpmmCombine::Mul;
-  case CombineOpKind::CopyRhs:
-    return SpmmCombine::CopyRhs;
-  case CombineOpKind::Add:
-    return SpmmCombine::Add;
-  }
-  return SpmmCombine::Mul;
-}
-
-/// True for the semiring the dispatched SDDMM dot-product routine covers.
-bool isPlusTimes(const Semiring &S) {
-  return S.Reduce == ReduceOpKind::Sum && S.Combine == CombineOpKind::Mul;
 }
 
 } // namespace
@@ -292,59 +273,27 @@ void kernels::reluMaskInto(const DenseMatrix &Pre, DenseMatrix &Dst) {
 }
 
 // granii-noalloc-begin: the SpMM aggregation loops dominate steady-state
-// GNN inference; both reduction paths must stay allocation-free.
-void kernels::spmmInto(const CsrMatrix &A, const DenseMatrix &B,
-                       const Semiring &S, DenseMatrix &Dst) {
+// GNN inference and must stay allocation-free.
+void kernels::spmmInto(const CsrMatrix &A, std::span<const float> Vals,
+                       const DenseMatrix &B, DenseMatrix &Dst) {
   GRANII_CHECK(A.cols() == B.rows(), "spmm dimension mismatch");
+  GRANII_CHECK(Vals.empty() || static_cast<int64_t>(Vals.size()) == A.nnz(),
+               "spmm edge value count mismatch");
   checkDenseDst(Dst, A.rows(), B.cols(), "spmm");
   const auto &Offsets = A.rowOffsets();
-  const auto &Cols = A.colIndices();
-  const auto &Vals = A.values();
+  const SimdOps &Ops = simdOps();
+  const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
   const int64_t NCols = B.cols();
-
-  // Fast path: plus-times / plus-copy sum reductions fused over rows,
-  // dispatched to the active ISA table over the full column range.
-  const bool SumLike =
-      S.Reduce == ReduceOpKind::Sum || S.Reduce == ReduceOpKind::Mean;
-  if (SumLike) {
-    const SimdOps &Ops = simdOps();
-    const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
-    const SpmmCombine Combine = spmmCombineFor(S);
-    const bool Mean = S.Reduce == ReduceOpKind::Mean;
-    parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-      Ops.SpmmRowRange(Offsets.data(), Cols.data(), ValsPtr, B.data(), NCols,
-                       Dst.data(), NCols, NCols, Combine, Mean, RowBegin,
-                       RowEnd);
-    });
-    return;
-  }
-
-  // General (max/min) reduction path; shared scalar code at every ISA level.
   parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-    for (int64_t R = RowBegin; R < RowEnd; ++R) {
-      float *Out = Dst.rowPtr(R);
-      int64_t Begin = Offsets[static_cast<size_t>(R)];
-      int64_t End = Offsets[static_cast<size_t>(R) + 1];
-      bool Any = End > Begin;
-      float Identity = S.reduceIdentity();
-      for (int64_t J = 0; J < NCols; ++J)
-        Out[J] = Any ? Identity : 0.0f;
-      for (int64_t K = Begin; K < End; ++K) {
-        int32_t Col = Cols[static_cast<size_t>(K)];
-        float EdgeVal = A.valueAt(K);
-        const float *Src = B.rowPtr(Col);
-        for (int64_t J = 0; J < NCols; ++J)
-          Out[J] = S.reduce(Out[J], S.combine(EdgeVal, Src[J]));
-      }
-    }
+    Ops.SpmmRowRange(Offsets.data(), A.colIndices().data(), ValsPtr, B.data(),
+                     NCols, Dst.data(), NCols, NCols, RowBegin, RowEnd);
   });
 }
 // granii-noalloc-end
 
 void kernels::spmmCscTransposedInto(const CscMatrix &A,
                                     std::span<const float> Vals,
-                                    const DenseMatrix &B, const Semiring &S,
-                                    DenseMatrix &Dst) {
+                                    const DenseMatrix &B, DenseMatrix &Dst) {
   GRANII_CHECK(A.rows() == B.rows(), "spmm_csc_t dimension mismatch");
   GRANII_CHECK(Vals.empty() || static_cast<int64_t>(Vals.size()) == A.nnz(),
                "spmm_csc_t edge value count mismatch");
@@ -353,57 +302,22 @@ void kernels::spmmCscTransposedInto(const CscMatrix &A,
   const auto &Rows = A.rowIndices();
   const auto &CsrIdx = A.csrIndices();
   const int64_t NCols = B.cols();
-  auto EdgeVal = [&](int64_t K) {
-    return Vals.empty() ? 1.0f : Vals[static_cast<size_t>(CsrIdx[K])];
-  };
-  if (S.Reduce == ReduceOpKind::Sum || S.Reduce == ReduceOpKind::Mean) {
-    // Output row c is column c of the source. The sum runs through the
-    // dispatch table's per-neighbor ops, the loop bodies of SpmmRowRange,
-    // so it matches spmmInto over the transpose bitwise; unlike the other
-    // kernels here, that costs one indirect call per edge. Values gather
-    // through the CSC->CSR index map in place.
-    const SimdOps &Ops = simdOps();
-    const bool Mean = S.Reduce == ReduceOpKind::Mean;
-    const bool PlainSum = S.Combine == CombineOpKind::CopyRhs ||
-                          (S.Combine == CombineOpKind::Mul && Vals.empty());
-    const bool MulCombine = S.Combine == CombineOpKind::Mul;
-    parallelForCsrRows(ColOffsets, [&](int64_t ColBegin, int64_t ColEnd) {
-      for (int64_t C = ColBegin; C < ColEnd; ++C) {
-        float *Out = Dst.rowPtr(C);
-        std::fill(Out, Out + NCols, 0.0f);
-        const int64_t Begin = ColOffsets[C], End = ColOffsets[C + 1];
-        for (int64_t K = Begin; K < End; ++K) {
-          const float *Src = B.rowPtr(Rows[K]);
-          if (PlainSum) {
-            Ops.AddRange(Out, Src, Out, NCols);
-          } else if (MulCombine) {
-            Ops.AxpyRange(EdgeVal(K), Src, Out, NCols);
-          } else { // Add combine.
-            const float Edge = EdgeVal(K);
-            for (int64_t J = 0; J < NCols; ++J)
-              Out[J] = (Edge + Src[J]) + Out[J];
-          }
-        }
-        if (Mean && End > Begin)
-          Ops.ScaleRange(1.0f / static_cast<float>(End - Begin), Out, Out,
-                         NCols);
-      }
-    });
-    return;
-  }
-  // General (max/min) reduction path, the same scalar body as spmmInto's.
+  // Output row c is column c of the source. The sum runs through the
+  // dispatch table's per-neighbor ops, the loop bodies of SpmmRowRange, so
+  // it matches spmmInto over the transpose bitwise; unlike the other
+  // kernels here, that costs one indirect call per edge. Values gather
+  // through the CSC->CSR index map in place.
+  const SimdOps &Ops = simdOps();
   parallelForCsrRows(ColOffsets, [&](int64_t ColBegin, int64_t ColEnd) {
     for (int64_t C = ColBegin; C < ColEnd; ++C) {
       float *Out = Dst.rowPtr(C);
-      const int64_t Begin = ColOffsets[C], End = ColOffsets[C + 1];
-      const float Identity = S.reduceIdentity();
-      for (int64_t J = 0; J < NCols; ++J)
-        Out[J] = End > Begin ? Identity : 0.0f;
-      for (int64_t K = Begin; K < End; ++K) {
-        const float Edge = EdgeVal(K);
+      std::fill(Out, Out + NCols, 0.0f);
+      for (int64_t K = ColOffsets[C]; K < ColOffsets[C + 1]; ++K) {
         const float *Src = B.rowPtr(Rows[K]);
-        for (int64_t J = 0; J < NCols; ++J)
-          Out[J] = S.reduce(Out[J], S.combine(Edge, Src[J]));
+        if (Vals.empty())
+          Ops.AddRange(Out, Src, Out, NCols);
+        else
+          Ops.AxpyRange(Vals[static_cast<size_t>(CsrIdx[K])], Src, Out, NCols);
       }
     }
   });
@@ -412,36 +326,18 @@ void kernels::spmmCscTransposedInto(const CscMatrix &A,
 // granii-noalloc-begin: SDDMM scores every masked edge each layer; the dot
 // loops write straight into the caller's value span.
 void kernels::sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
-                        const DenseMatrix &V, const Semiring &S,
-                        std::span<float> Out) {
+                        const DenseMatrix &V, std::span<float> Out) {
   GRANII_CHECK(Mask.rows() == U.rows(), "sddmm left operand row mismatch");
   GRANII_CHECK(Mask.cols() == V.rows(), "sddmm right operand row mismatch");
   GRANII_CHECK(U.cols() == V.cols(), "sddmm feature width mismatch");
   checkVecDst(Out, static_cast<size_t>(Mask.nnz()), "sddmm");
   const auto &Offsets = Mask.rowOffsets();
-  const auto &Cols = Mask.colIndices();
   const int64_t Width = U.cols();
-  if (isPlusTimes(S)) {
-    const SimdOps &Ops = simdOps();
-    parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-      Ops.SddmmDotRowRange(Offsets.data(), Cols.data(), U.data(), Width,
-                           V.data(), Width, Out.data(), Width, RowBegin,
-                           RowEnd);
-    });
-    return;
-  }
+  const SimdOps &Ops = simdOps();
   parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-    for (int64_t R = RowBegin; R < RowEnd; ++R) {
-      const float *URow = U.rowPtr(R);
-      for (int64_t K = Offsets[static_cast<size_t>(R)];
-           K < Offsets[static_cast<size_t>(R) + 1]; ++K) {
-        const float *VRow = V.rowPtr(Cols[static_cast<size_t>(K)]);
-        float Acc = S.reduceIdentity();
-        for (int64_t J = 0; J < Width; ++J)
-          Acc = S.reduce(Acc, S.combine(URow[J], VRow[J]));
-        Out[static_cast<size_t>(K)] = Acc;
-      }
-    }
+    Ops.SddmmDotRowRange(Offsets.data(), Mask.colIndices().data(), U.data(),
+                         Width, V.data(), Width, Out.data(), Width, RowBegin,
+                         RowEnd);
   });
 }
 // granii-noalloc-end

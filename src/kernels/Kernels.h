@@ -1,7 +1,7 @@
 //===- Kernels.h - Sparse and dense matrix primitives -----------*- C++ -*-===//
 ///
 /// \file
-/// The primitive kernel layer: GEMM, g-SpMM, g-SDDMM, row/column broadcasts,
+/// The primitive kernel layer: GEMM, SpMM, SDDMM, row/column broadcasts,
 /// diagonal scaling of sparse matrices, elementwise ops, edge softmax, and
 /// the two degree-computation variants (offset-difference vs edge-binning)
 /// whose cost difference drives the paper's WiseGraph-on-dense-graphs
@@ -26,7 +26,6 @@
 #include "tensor/CscMatrix.h"
 #include "tensor/CsrMatrix.h"
 #include "tensor/DenseMatrix.h"
-#include "tensor/Semiring.h"
 
 #include <span>
 #include <vector>
@@ -118,34 +117,36 @@ void reluBackwardInto(const DenseMatrix &Pre, const DenseMatrix &Grad,
 void reluMaskInto(const DenseMatrix &Pre, DenseMatrix &Dst);
 
 //===----------------------------------------------------------------------===//
-// Sparse primitives (generalized per paper §II-B)
+// Sparse primitives
 //===----------------------------------------------------------------------===//
+//
+// Every SpMM takes the sparse structure, its edge values as a span in the
+// structure's CSR entry order, B and Dst. An empty span means unit weights:
+// each neighbor row is added as it is, the unweighted aggregation the paper
+// highlights as the cheaper path. A non-empty span scales each neighbor row
+// by its edge value and must hold one value per nonzero.
 
-/// Generalized SpMM into \p Dst, which must already be A.rows() x B.cols():
-/// Out[i,:] = reduce_{j in N(i)} combine(a_ij, B[j,:]). With
-/// Semiring::plusTimes() this is the standard weighted SpMM; with
-/// Semiring::plusCopy() it is the cheaper unweighted aggregation.
-void spmmInto(const CsrMatrix &A, const DenseMatrix &B, const Semiring &S,
-              DenseMatrix &Dst);
+/// SpMM into \p Dst, which must already be A.rows() x B.cols():
+/// Out[i,:] = sum_{j in N(i)} v_ij * B[j,:], with v_ij = \p Vals[k] or 1.
+/// \p Vals is usually A.values() or empty.
+void spmmInto(const CsrMatrix &A, std::span<const float> Vals,
+              const DenseMatrix &B, DenseMatrix &Dst);
 
-/// Dst = A^T (x) B under \p S into \p Dst (A.cols() x B.cols()): the
-/// backward-pass aggregation. Walks the CSC columns directly; \p Vals holds
-/// the edge values in the *source* CSR edge order (empty = unweighted) and
-/// is gathered through the CSC entry map. Each output row visits its
-/// entries in ascending source-row order, the entry order of
-/// CsrMatrix::transposed(), so the result is bitwise equal to
-/// spmmInto(A.transposed(), B, S, Dst).
+/// Dst = A^T * B into \p Dst (A.cols() x B.cols()): the backward-pass
+/// aggregation. Walks the CSC columns directly; \p Vals holds the edge
+/// values in the *source* CSR edge order (empty = unit weights) and is
+/// gathered through the CSC entry map. Each output row visits its entries
+/// in ascending source-row order, the entry order of
+/// CsrMatrix::transposed(), so the result is bitwise equal to spmmInto over
+/// the transpose.
 void spmmCscTransposedInto(const CscMatrix &A, std::span<const float> Vals,
-                           const DenseMatrix &B, const Semiring &S,
-                           DenseMatrix &Dst);
+                           const DenseMatrix &B, DenseMatrix &Dst);
 
-/// Generalized SDDMM into \p Out, which must have Mask.nnz() entries:
-/// per-edge values at the mask's nonzeros, out_ij = combine over k of
-/// U[i,k] and V[j,k], reduced by \p S.Reduce (dot product for plus-times).
-/// \p V has the same number of columns as \p U; the mask's existing values
-/// are ignored.
+/// SDDMM into \p Out, which must have Mask.nnz() entries: the per-edge dot
+/// product out_ij = U[i,:] . V[j,:] at the mask's nonzeros. \p V has the
+/// same number of columns as \p U; the mask's values are ignored.
 void sddmmInto(const CsrMatrix &Mask, const DenseMatrix &U,
-               const DenseMatrix &V, const Semiring &S, std::span<float> Out);
+               const DenseMatrix &V, std::span<float> Out);
 
 /// Per-edge sum of two node scalars into \p Out (Mask.nnz() entries):
 /// out_ij = SrcScore[i] + DstScore[j] (the SDDMM(+, +) used by GAT's

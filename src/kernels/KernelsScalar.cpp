@@ -72,33 +72,21 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
                   const float *Vals, const float *B, int64_t Ldb, float *Dst,
-                  int64_t LdDst, int64_t Width, SpmmCombine Combine,
-                  bool Mean, int64_t RowBegin, int64_t RowEnd) {
+                  int64_t LdDst, int64_t Width, int64_t RowBegin,
+                  int64_t RowEnd) {
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     float *Out = Dst + R * LdDst;
-    const int64_t Begin = Offsets[R];
-    const int64_t End = Offsets[R + 1];
     std::fill(Out, Out + Width, 0.0f);
-    for (int64_t K = Begin; K < End; ++K) {
+    for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K) {
       const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
-      if (Combine == SpmmCombine::CopyRhs) {
+      if (!Vals) {
         for (int64_t J = 0; J < Width; ++J)
           Out[J] += Src[J];
       } else {
-        float EdgeVal = Vals ? Vals[K] : 1.0f;
-        if (Combine == SpmmCombine::Mul) {
-          for (int64_t J = 0; J < Width; ++J)
-            Out[J] += EdgeVal * Src[J];
-        } else { // Add combine.
-          for (int64_t J = 0; J < Width; ++J)
-            Out[J] += EdgeVal + Src[J];
-        }
+        const float EdgeVal = Vals[K];
+        for (int64_t J = 0; J < Width; ++J)
+          Out[J] += EdgeVal * Src[J];
       }
-    }
-    if (Mean && End > Begin) {
-      float Inv = 1.0f / static_cast<float>(End - Begin);
-      for (int64_t J = 0; J < Width; ++J)
-        Out[J] *= Inv;
     }
   }
 }

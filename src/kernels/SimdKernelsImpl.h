@@ -222,7 +222,7 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 }
 
 //===----------------------------------------------------------------------===//
-// Fused sum-reduction g-SpMM
+// SpMM (weighted: fma per edge; unit weights: plain add)
 //===----------------------------------------------------------------------===//
 
 /// Every column's accumulation is per-element exact (add/fma lanes match
@@ -231,53 +231,28 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 template <class T>
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
                   const float *Vals, const float *B, int64_t Ldb, float *Dst,
-                  int64_t LdDst, int64_t Width, SpmmCombine Combine,
-                  bool Mean, int64_t RowBegin, int64_t RowEnd) {
-  using Vec = typename T::Vec;
+                  int64_t LdDst, int64_t Width, int64_t RowBegin,
+                  int64_t RowEnd) {
   constexpr int64_t W = T::Width;
-  const bool PlainSum =
-      Combine == SpmmCombine::CopyRhs || (Combine == SpmmCombine::Mul && !Vals);
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     float *Out = Dst + R * LdDst;
-    const int64_t Begin = Offsets[R];
-    const int64_t End = Offsets[R + 1];
     std::fill(Out, Out + Width, 0.0f);
-    for (int64_t K = Begin; K < End; ++K) {
+    for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K) {
       const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
-      if (PlainSum) {
-        int64_t J = 0;
+      int64_t J = 0;
+      if (!Vals) {
         for (; J + W <= Width; J += W)
           T::store(Out + J, T::add(T::load(Out + J), T::load(Src + J)));
         for (; J < Width; ++J)
           Out[J] += Src[J];
-      } else if (Combine == SpmmCombine::Mul) {
-        const float Edge = Vals[K];
-        const Vec EdgeV = T::set1(Edge);
-        int64_t J = 0;
-        for (; J + W <= Width; J += W)
-          T::store(Out + J,
-                   T::fma(EdgeV, T::load(Src + J), T::load(Out + J)));
-        for (; J < Width; ++J)
-          Out[J] = std::fma(Edge, Src[J], Out[J]);
-      } else { // Add combine.
-        const float Edge = Vals ? Vals[K] : 1.0f;
-        const Vec EdgeV = T::set1(Edge);
-        int64_t J = 0;
-        for (; J + W <= Width; J += W)
-          T::store(Out + J,
-                   T::add(T::add(EdgeV, T::load(Src + J)), T::load(Out + J)));
-        for (; J < Width; ++J)
-          Out[J] = (Edge + Src[J]) + Out[J];
+        continue;
       }
-    }
-    if (Mean && End > Begin) {
-      const float Inv = 1.0f / static_cast<float>(End - Begin);
-      const Vec InvV = T::set1(Inv);
-      int64_t J = 0;
+      const float Edge = Vals[K];
+      const typename T::Vec EdgeV = T::set1(Edge);
       for (; J + W <= Width; J += W)
-        T::store(Out + J, T::mul(InvV, T::load(Out + J)));
+        T::store(Out + J, T::fma(EdgeV, T::load(Src + J), T::load(Out + J)));
       for (; J < Width; ++J)
-        Out[J] = Inv * Out[J];
+        Out[J] = std::fma(Edge, Src[J], Out[J]);
     }
   }
 }

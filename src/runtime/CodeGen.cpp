@@ -25,11 +25,11 @@ std::string intoCallExprOf(const PlanStep &Step,
   case StepOp::Gemm:
     return "kernels::gemmInto(" + Arg(0) + ", " + Arg(1) + ", " + Dst + ")";
   case StepOp::SpmmWeighted:
-    return "kernels::spmmInto(" + Arg(0) + ", " + Arg(1) +
-           ", Semiring::plusTimes(), " + Dst + ")";
+    return "kernels::spmmInto(" + Arg(0) + ", " + Arg(0) + ".values(), " +
+           Arg(1) + ", " + Dst + ")";
   case StepOp::SpmmUnweighted:
-    return "kernels::spmmInto(" + Arg(0) + ", " + Arg(1) +
-           ", Semiring::plusCopy(), " + Dst + ")";
+    return "kernels::spmmInto(" + Arg(0) + ", {}, " + Arg(1) + ", " + Dst +
+           ")";
   case StepOp::SddmmScaleRow:
     return "kernels::scaleSparseRowsInto(" + Arg(1) + ", " + Arg(0) + ", " +
            Vals + ")";

@@ -227,11 +227,12 @@ namespace {
 
 using detail::RtValue;
 
-/// The semiring of an aggregation step: weighted edges scale the neighbor
-/// rows they gather, unweighted ones copy them.
-Semiring semiringOf(StepOp Op) {
-  return Op == StepOp::SpmmWeighted ? Semiring::plusTimes()
-                                    : Semiring::plusCopy();
+/// The edge values an aggregation step multiplies by: the sparse operand's
+/// own for a weighted step, none (unit weights) for an unweighted one.
+std::span<const float> edgeValuesOf(StepOp Op, const CsrMatrix &A) {
+  if (Op == StepOp::SpmmWeighted)
+    return A.values();
+  return {};
 }
 
 /// The sparse operand of every aggregation step of one run, resolved once
@@ -251,18 +252,18 @@ public:
                 SS.Set.nnz() == Adj.nnz() && Adj.rows() == Adj.cols();
   }
 
-  /// Dst = A (x) B under \p S.
-  void spmmInto(const CsrMatrix &A, const DenseMatrix &B, const Semiring &S,
-                DenseMatrix &Dst) const {
+  /// Dst = A * B with edge values \p Vals (empty = unit weights).
+  void spmmInto(const CsrMatrix &A, std::span<const float> Vals,
+                const DenseMatrix &B, DenseMatrix &Dst) const {
     if (!IsSharded) {
-      kernels::spmmInto(A, B, S, Dst);
+      kernels::spmmInto(A, Vals, B, Dst);
       return;
     }
     // Cold-start staging growth counts against the workspace.
     size_t Grown = SS.Staging.ensureForward(SS.Set, B.cols());
     for (; Grown > 0; --Grown)
       Ws.countAllocation();
-    shard::shardedSpmmInto(SS.Set, SS.Staging, A.values(), B, S, Dst);
+    shard::shardedSpmmInto(SS.Set, SS.Staging, Vals, B, Dst);
   }
 
   /// True when spmmTransposedInto needs no CSC build first: the shard
@@ -281,19 +282,19 @@ public:
     FS.CscSourceNnz = Adj.nnz();
   }
 
-  /// Dst = A^T (x) B under \p S; transposeReady() must hold. Both cases
-  /// visit each output row's entries in ascending source-row order — the
-  /// entry order of A^T's rows — so they are bitwise equal to each other
-  /// and to the transpose-then-SpMM product.
-  void spmmTransposedInto(const CsrMatrix &A, const DenseMatrix &B,
-                          const Semiring &S, DenseMatrix &Dst) const {
+  /// Dst = A^T * B with edge values \p Vals in A's CSR order (empty = unit
+  /// weights); transposeReady() must hold. Both cases visit each output
+  /// row's entries in ascending source-row order — the entry order of A^T's
+  /// rows — so they are bitwise equal to each other and to the
+  /// transpose-then-SpMM product.
+  void spmmTransposedInto(std::span<const float> Vals, const DenseMatrix &B,
+                          DenseMatrix &Dst) const {
     if (IsSharded) {
       SS.Staging.ensureBackward(SS.Set, B.cols());
-      shard::shardedSpmmCscTransposedInto(SS.Set, SS.Staging, A.values(), B, S,
-                                          Dst);
+      shard::shardedSpmmCscTransposedInto(SS.Set, SS.Staging, Vals, B, Dst);
       return;
     }
-    kernels::spmmCscTransposedInto(FS.Csc, A.values(), B, S, Dst);
+    kernels::spmmCscTransposedInto(FS.Csc, Vals, B, Dst);
   }
 
 private:
@@ -449,7 +450,7 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
     Seconds = charge(StepIdx, [&] {
       const CsrMatrix &A = Op(0).sparse();
       const DenseMatrix &B = Op(1).dense();
-      Sparse.spmmInto(A, B, semiringOf(Step.Op),
+      Sparse.spmmInto(A, edgeValuesOf(Step.Op, A), B,
                       dstDense(Step.Result, A.rows(), B.cols()));
     });
     break;
@@ -580,7 +581,6 @@ void PlanInterpreter::execStep(size_t StepIdx, ExecResult &Result) {
   }
   // granii-noalloc-end
 
-  Result.StepSeconds[StepIdx] = Seconds;
   if (Step.Setup)
     Result.SetupSeconds += Seconds;
   else
@@ -614,7 +614,6 @@ void PlanInterpreter::forward(ExecResult &Result) {
   Result.SetupSeconds = 0.0;
   Result.ForwardSeconds = 0.0;
   Result.BackwardSeconds = 0.0;
-  Result.StepSeconds.assign(Plan.Steps.size(), 0.0);
   if (Exec.stepProfiling())
     Result.StepProfiles.resize(Plan.Steps.size());
   else
@@ -719,11 +718,11 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
         Seconds = chargeDesc(V.Desc, [&] {
           std::vector<float> &DS = GradVec(Id);
           if (!Acc) {
-            kernels::sddmmInto(S, DY, X, Semiring::plusTimes(), DS);
+            kernels::sddmmInto(S, DY, X, DS);
             return;
           }
           std::vector<float> &Term = Ws.fit(GS.EdgeScratch, DS.size());
-          kernels::sddmmInto(S, DY, X, Semiring::plusTimes(), Term);
+          kernels::sddmmInto(S, DY, X, Term);
           for (size_t I = 0; I < DS.size(); ++I)
             DS[I] += Term[I];
         });
@@ -738,7 +737,7 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
       }
       Seconds = chargeDesc(V.Desc, [&] {
         IntoGrad(Id, Acc, [&](DenseMatrix &DX) {
-          Sparse.spmmTransposedInto(S, DY, semiringOf(Step.Op), DX);
+          Sparse.spmmTransposedInto(edgeValuesOf(Step.Op, S), DY, DX);
         });
       });
       break;

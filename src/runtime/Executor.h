@@ -187,9 +187,6 @@ struct ExecResult {
   double ForwardSeconds = 0.0;
   /// Seconds charged to the backward pass (0 in inference mode).
   double BackwardSeconds = 0.0;
-  /// Per-forward-step seconds, parallel to the plan's Steps (setup steps
-  /// included); used by the runtime-breakdown experiment (Fig. 2).
-  std::vector<double> StepSeconds;
   /// Per-step profiles, parallel to Steps; empty unless the executor's
   /// step profiling is enabled (see Executor::setStepProfiling).
   std::vector<StepProfile> StepProfiles;

@@ -4,6 +4,7 @@
 
 #include "assoc/PlanSerialize.h"
 #include "support/Hash.h"
+#include "verify/VerifyPlan.h"
 
 #include <cstdio>
 #include <filesystem>
@@ -135,23 +136,22 @@ PlanCache::Plans PlanCache::loadSpill(const PlanCacheKey &Key) {
   std::ifstream In(Path);
   if (!In)
     return nullptr;
+  // A file with a foreign header, or one whose plans do not parse or fail
+  // the checks every promoted set must pass, is a miss: the file is removed
+  // so the upcoming recompile's write-through can claim the name. A wrong
+  // header is either corruption or a 64-bit file-name hash collision with a
+  // different canonical key.
   std::string Header, EmbeddedKey;
   In >> Header >> EmbeddedKey;
-  if (!In || Header != SpillHeader || EmbeddedKey != Key.canonical()) {
-    // Wrong header: either a foreign/corrupt file or a 64-bit file-name
-    // hash collision with a different canonical key. Both are misses; the
-    // file is removed so the upcoming write-through can claim the name.
-    In.close();
-    std::error_code Ec;
-    std::filesystem::remove(Path, Ec);
-    ++Counters.Corrupt;
-    return nullptr;
+  std::optional<std::vector<CompositionPlan>> Parsed;
+  if (In && Header == SpillHeader && EmbeddedKey == Key.canonical()) {
+    std::ostringstream Body;
+    Body << In.rdbuf();
+    Parsed = deserializePlans(Body.str(), nullptr, Path);
+    DiagEngine Diags;
+    if (Parsed && !verifyPromotedSet(*Parsed, Diags))
+      Parsed.reset();
   }
-  std::ostringstream Body;
-  Body << In.rdbuf();
-  std::string Err;
-  std::optional<std::vector<CompositionPlan>> Parsed =
-      deserializePlans(Body.str(), &Err, Path);
   if (!Parsed) {
     In.close();
     std::error_code Ec;

@@ -72,7 +72,9 @@ struct PlanCacheStats {
   uint64_t DiskHits = 0;  ///< loaded from a spill file
   uint64_t Evictions = 0; ///< LRU entries dropped from memory
   uint64_t Spills = 0;    ///< spill files written
-  uint64_t Corrupt = 0;   ///< spill files rejected (bad key or bad parse)
+  /// Spill files rejected and deleted: foreign header, unparsable plans,
+  /// or a plan set that fails verifyPromotedSet.
+  uint64_t Corrupt = 0;
 };
 
 /// Thread-safe LRU cache of promoted plan sets with write-through disk
@@ -115,7 +117,8 @@ private:
   };
 
   /// Loads and validates \p Key's spill file; nullptr on absence, key
-  /// mismatch (collision), or corruption. M is required only for the stats
+  /// mismatch (collision), or corruption, which includes a plan set that
+  /// parses but fails verifyPromotedSet. M is required only for the stats
   /// counters it bumps.
   Plans loadSpill(const PlanCacheKey &Key) GRANII_REQUIRES(M);
   void writeSpill(const PlanCacheKey &Key, const Plans &Value)

@@ -11,27 +11,8 @@
 using namespace granii;
 using namespace granii::shard;
 using kernels::SimdOps;
-using kernels::SpmmCombine;
 
 namespace {
-
-bool isSumLike(const Semiring &S) {
-  return S.Reduce == ReduceOpKind::Sum || S.Reduce == ReduceOpKind::Mean;
-}
-
-/// Same mapping Kernels.cpp applies before handing a semiring to the
-/// dispatch table.
-SpmmCombine combineFor(const Semiring &S) {
-  switch (S.Combine) {
-  case CombineOpKind::Mul:
-    return SpmmCombine::Mul;
-  case CombineOpKind::CopyRhs:
-    return SpmmCombine::CopyRhs;
-  case CombineOpKind::Add:
-    return SpmmCombine::Add;
-  }
-  return SpmmCombine::Mul;
-}
 
 size_t ensureStaging(std::vector<DenseMatrix> &Buffers,
                      std::vector<int64_t> &Caps, const ShardSet &Set,
@@ -69,8 +50,7 @@ size_t ShardStaging::ensureBackward(const ShardSet &Set, int64_t Cols) {
 
 void granii::shard::shardedSpmmInto(const ShardSet &Set, ShardStaging &Stage,
                                     std::span<const float> Vals,
-                                    const DenseMatrix &B, const Semiring &S,
-                                    DenseMatrix &Dst) {
+                                    const DenseMatrix &B, DenseMatrix &Dst) {
   const int64_t K = B.cols();
   GRANII_CHECK(B.rows() == Set.numNodes() && Dst.rows() == Set.numNodes() &&
                    Dst.cols() == K,
@@ -78,9 +58,6 @@ void granii::shard::shardedSpmmInto(const ShardSet &Set, ShardStaging &Stage,
   GRANII_CHECK(Vals.empty() || static_cast<int64_t>(Vals.size()) == Set.nnz(),
                "sharded spmm value array mismatch");
   Stage.ensureForward(Set, K); // no-op once warmed to this width
-  const bool SumLike = isSumLike(S);
-  const SpmmCombine Combine = combineFor(S);
-  const bool Mean = S.Reduce == ReduceOpKind::Mean;
   const SimdOps &Ops = kernels::simdOps();
   const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
   const size_t RowBytes = static_cast<size_t>(K) * sizeof(float);
@@ -97,68 +74,37 @@ void granii::shard::shardedSpmmInto(const ShardSet &Set, ShardStaging &Stage,
           std::memcpy(LB.rowPtr(static_cast<int64_t>(Slot)),
                       B.rowPtr(Blk.Referenced[Slot]), RowBytes);
         const int64_t Owned = static_cast<int64_t>(Blk.OwnedRows.size());
-        if (SumLike) {
-          for (int64_t R = 0; R < Owned; ++R) {
-            // The block's value window of row R is the row's contiguous
-            // global segment; offsetting the base pointer lets the
-            // dispatch kernel index it with the local offsets. Same trick
-            // lands the destination row at its global position.
-            const float *RowVals =
-                ValsPtr ? ValsPtr + (Blk.ValBase[static_cast<size_t>(R)] -
-                                     Blk.RowOffsets[static_cast<size_t>(R)])
-                        : nullptr;
-            float *DstBase =
-                Dst.data() +
-                (static_cast<int64_t>(Blk.OwnedRows[static_cast<size_t>(R)]) -
-                 R) *
-                    K;
-            Ops.SpmmRowRange(Blk.RowOffsets.data(), Blk.LocalCols.data(),
-                             RowVals, LB.data(), K, DstBase, K, K, Combine,
-                             Mean, R, R + 1);
-          }
-          return;
-        }
-        // General (max/min) reductions: the scalar order of
-        // kernels::spmmInto, entry by entry in original CSR order.
         for (int64_t R = 0; R < Owned; ++R) {
-          float *Out = Dst.rowPtr(Blk.OwnedRows[static_cast<size_t>(R)]);
-          const int64_t Begin = Blk.RowOffsets[static_cast<size_t>(R)];
-          const int64_t End = Blk.RowOffsets[static_cast<size_t>(R) + 1];
-          const bool Any = End > Begin;
-          const float Identity = S.reduceIdentity();
-          for (int64_t J = 0; J < K; ++J)
-            Out[J] = Any ? Identity : 0.0f;
-          for (int64_t E = Begin; E < End; ++E) {
-            const float EdgeVal =
-                ValsPtr ? ValsPtr[Blk.ValBase[static_cast<size_t>(R)] +
-                                  (E - Begin)]
-                        : 1.0f;
-            const float *Src =
-                LB.rowPtr(Blk.LocalCols[static_cast<size_t>(E)]);
-            for (int64_t J = 0; J < K; ++J)
-              Out[J] = S.reduce(Out[J], S.combine(EdgeVal, Src[J]));
-          }
+          // The block's value window of row R is the row's contiguous
+          // global segment; offsetting the base pointer lets the dispatch
+          // kernel index it with the local offsets. Same trick lands the
+          // destination row at its global position.
+          const float *RowVals =
+              ValsPtr ? ValsPtr + (Blk.ValBase[static_cast<size_t>(R)] -
+                                   Blk.RowOffsets[static_cast<size_t>(R)])
+                      : nullptr;
+          float *DstBase =
+              Dst.data() +
+              (static_cast<int64_t>(Blk.OwnedRows[static_cast<size_t>(R)]) -
+               R) *
+                  K;
+          Ops.SpmmRowRange(Blk.RowOffsets.data(), Blk.LocalCols.data(),
+                           RowVals, LB.data(), K, DstBase, K, K, R, R + 1);
         }
       });
 }
 
 void granii::shard::shardedSpmmCscTransposedInto(
     const ShardSet &Set, ShardStaging &Stage, std::span<const float> Vals,
-    const DenseMatrix &DY, const Semiring &S, DenseMatrix &Dst) {
+    const DenseMatrix &DY, DenseMatrix &Dst) {
   const int64_t K = DY.cols();
   GRANII_CHECK(DY.rows() == Set.numNodes() && Dst.rows() == Set.numNodes() &&
                    Dst.cols() == K,
                "sharded spmm_csc_t shape mismatch");
   GRANII_CHECK(Vals.empty() || static_cast<int64_t>(Vals.size()) == Set.nnz(),
                "sharded spmm_csc_t value array mismatch");
-  GRANII_CHECK(isSumLike(S),
-               "sharded spmm_csc_t supports sum/mean reductions only");
   Stage.ensureBackward(Set, K); // no-op once warmed to this width
   const SimdOps &Ops = kernels::simdOps();
-  const bool Mean = S.Reduce == ReduceOpKind::Mean;
-  const bool PlainSum = S.Combine == CombineOpKind::CopyRhs ||
-                        (S.Combine == CombineOpKind::Mul && Vals.empty());
-  const bool MulCombine = S.Combine == CombineOpKind::Mul;
   const size_t RowBytes = static_cast<size_t>(K) * sizeof(float);
 
   ThreadPool::get().parallelForChunks(
@@ -180,25 +126,13 @@ void granii::shard::shardedSpmmCscTransposedInto(
           for (int64_t E = Begin; E < End; ++E) {
             const float *Src =
                 LDY.rowPtr(Blk.RowSlots[static_cast<size_t>(E)]);
-            if (PlainSum) {
+            if (Vals.empty())
               Ops.AddRange(Out, Src, Out, K);
-            } else if (MulCombine) {
+            else
               Ops.AxpyRange(
                   Vals[static_cast<size_t>(Blk.CsrIdx[static_cast<size_t>(E)])],
                   Src, Out, K);
-            } else { // Add combine.
-              const float Edge =
-                  Vals.empty()
-                      ? 1.0f
-                      : Vals[static_cast<size_t>(
-                            Blk.CsrIdx[static_cast<size_t>(E)])];
-              for (int64_t J = 0; J < K; ++J)
-                Out[J] = (Edge + Src[J]) + Out[J];
-            }
           }
-          if (Mean && End > Begin)
-            Ops.ScaleRange(1.0f / static_cast<float>(End - Begin), Out, Out,
-                           K);
         }
       });
 }

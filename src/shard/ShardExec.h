@@ -22,7 +22,6 @@
 
 #include "shard/Shard.h"
 #include "tensor/DenseMatrix.h"
-#include "tensor/Semiring.h"
 
 #include <span>
 #include <vector>
@@ -46,21 +45,19 @@ struct ShardStaging {
   size_t ensureBackward(const ShardSet &Set, int64_t Cols);
 };
 
-/// Sharded g-SpMM forward: Dst = reduce_combine(A, B) where A is the graph
-/// \p Set was built from and \p Vals its (possibly empty = unweighted)
-/// CSR-ordered edge values. Handles every semiring the whole-graph kernel
-/// handles; output rows land at their original positions in \p Dst.
+/// Sharded SpMM forward: Dst = A * B where A is the graph \p Set was built
+/// from and \p Vals its CSR-ordered edge values (empty = unit weights), the
+/// contract of kernels::spmmInto. Output rows land at their original
+/// positions in \p Dst.
 void shardedSpmmInto(const ShardSet &Set, ShardStaging &Stage,
                      std::span<const float> Vals, const DenseMatrix &B,
-                     const Semiring &S, DenseMatrix &Dst);
+                     DenseMatrix &Dst);
 
-/// Sharded backward transposed SpMM: Dst = S^T * DY walked column-wise
-/// over the shard blocks' CSC slices. Sum/mean reductions only (the only
-/// ones the executor's backward routes through the transposed product).
+/// Sharded backward transposed SpMM: Dst = A^T * DY walked column-wise over
+/// the shard blocks' CSC slices, with the edge-value contract above.
 void shardedSpmmCscTransposedInto(const ShardSet &Set, ShardStaging &Stage,
                                   std::span<const float> Vals,
-                                  const DenseMatrix &DY, const Semiring &S,
-                                  DenseMatrix &Dst);
+                                  const DenseMatrix &DY, DenseMatrix &Dst);
 
 } // namespace shard
 } // namespace granii

@@ -327,3 +327,19 @@ bool granii::verifySurvivorSet(const std::vector<CompositionPlan> &Survivors,
   }
   return Diags.errorCount() == Before;
 }
+
+bool granii::verifyPromotedSet(const std::vector<CompositionPlan> &Plans,
+                               DiagEngine &Diags) {
+  size_t Before = Diags.errorCount();
+  if (Plans.empty())
+    Diags.error("prune", "plans", "the promoted plan set is empty");
+  for (const CompositionPlan &Plan : Plans) {
+    verifyPlanDiags(Plan, Diags, "plan");
+    verifyScenarioAnnotations(Plan, Diags, "prune");
+  }
+  // Pricing a malformed plan against the others is meaningless, so the
+  // set-level invariant runs only over individually sound plans.
+  if (Diags.errorCount() == Before)
+    verifySurvivorSet(Plans, Diags, "prune");
+  return Diags.errorCount() == Before;
+}

@@ -55,6 +55,14 @@ bool verifyScenarioAnnotations(const CompositionPlan &Plan, DiagEngine &Diags,
 bool verifySurvivorSet(const std::vector<CompositionPlan> &Survivors,
                        DiagEngine &Diags, const std::string &Stage = "prune");
 
+/// The checks a promoted plan set passes before anything executes it,
+/// whether freshly pruned or read back from disk: the set is non-empty,
+/// every plan verifies, every plan is viable in some scenario, and (when
+/// the plans themselves are sound) the survivor-set invariant holds.
+/// \returns true when no errors were added.
+bool verifyPromotedSet(const std::vector<CompositionPlan> &Plans,
+                       DiagEngine &Diags);
+
 } // namespace granii
 
 #endif // GRANII_VERIFY_VERIFYPLAN_H

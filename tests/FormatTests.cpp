@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -163,8 +164,8 @@ TEST(FormatStructure, CscColumnsMatchTransposedCsr) {
 }
 
 // The backward kernel walks the CSC view and must give the bits of the
-// transpose-then-SpMM product at every ISA level, for every semiring path
-// (the dispatched sum/mean ops and the shared scalar max path).
+// transpose-then-SpMM product at every ISA level, weighted and with unit
+// weights.
 TEST(FormatStructure, CscTransposedSpmmMatchesTransposedCsrBitwise) {
   const kernels::IsaLevel Entry = kernels::activeIsaLevel();
   Rng R(91);
@@ -181,13 +182,18 @@ TEST(FormatStructure, CscTransposedSpmmMatchesTransposedCsrBitwise) {
       B.rowPtr(I)[J] = R.nextFloat(-2.0f, 2.0f);
   for (kernels::IsaLevel Level : kernels::supportedIsaLevels()) {
     EXPECT_TRUE(kernels::setIsaLevel(Level));
-    for (const Semiring &S : {Semiring::plusTimes(), Semiring::plusCopy(),
-                              Semiring::meanCopy(), Semiring::maxCopy()}) {
-      SCOPED_TRACE(std::string(kernels::isaLevelName(Level)) + " " +
-                   semiringName(S));
+    for (bool Weighted : {true, false}) {
+      SCOPED_TRACE(std::string(kernels::isaLevelName(Level)) +
+                   (Weighted ? " weighted" : " unit weights"));
+      const std::span<const float> TVals =
+          Weighted ? std::span<const float>(T.values())
+                   : std::span<const float>();
+      const std::span<const float> AVals =
+          Weighted ? std::span<const float>(A.values())
+                   : std::span<const float>();
       DenseMatrix Want(30, 19), Got(30, 19);
-      kernels::spmmInto(T, B, S, Want);
-      kernels::spmmCscTransposedInto(C, A.values(), B, S, Got);
+      kernels::spmmInto(T, TVals, B, Want);
+      kernels::spmmCscTransposedInto(C, AVals, B, Got);
       EXPECT_EQ(std::memcmp(Want.data(), Got.data(),
                             sizeof(float) * static_cast<size_t>(30 * 19)),
                 0);
@@ -225,12 +231,10 @@ TEST(FormatDeathTest, KernelsRejectShapeMismatches) {
   DenseMatrix B(9, 4);           // wrong row count for A^T (x) B
   DenseMatrix Dst(10, 4);
   CscMatrix C = CscMatrix::fromCsr(A);
-  EXPECT_DEATH(kernels::spmmCscTransposedInto(C, A.values(), B,
-                                              Semiring::plusTimes(), Dst),
+  EXPECT_DEATH(kernels::spmmCscTransposedInto(C, A.values(), B, Dst),
                "spmm_csc_t dimension mismatch");
   std::vector<float> Short(static_cast<size_t>(A.nnz() - 1), 1.0f);
   DenseMatrix B10(10, 4);
-  EXPECT_DEATH(kernels::spmmCscTransposedInto(C, Short, B10,
-                                              Semiring::plusTimes(), Dst),
+  EXPECT_DEATH(kernels::spmmCscTransposedInto(C, Short, B10, Dst),
                "spmm_csc_t edge value count mismatch");
 }

@@ -219,17 +219,20 @@ TEST_P(SpmmCases, WeightedMatchesDenseReference) {
   DenseMatrix B = randomDense(N, K, Seed + 1);
   DenseMatrix Expected = refGemm(A.toDense(), B);
   DenseMatrix Got(N, K);
-  kernels::spmmInto(A, B, Semiring::plusTimes(), Got);
+  kernels::spmmInto(A, A.values(), B, Got);
   EXPECT_TRUE(Got.approxEquals(Expected, 1e-3f, 1e-3f));
 }
 
 TEST_P(SpmmCases, UnweightedIgnoresValues) {
   auto [N, K, Entries, Seed] = GetParam();
-  CsrMatrix A = randomSparse(N, N, Entries, Seed, /*Weighted=*/false);
+  CsrMatrix A = randomSparse(N, N, Entries, Seed, /*Weighted=*/true);
+  ASSERT_FALSE(A.values().empty());
+  CsrMatrix Pattern = A;
+  Pattern.clearValues();
   DenseMatrix B = randomDense(N, K, Seed + 2);
-  DenseMatrix Expected = refGemm(A.toDense(), B);
+  DenseMatrix Expected = refGemm(Pattern.toDense(), B);
   DenseMatrix Got(N, K);
-  kernels::spmmInto(A, B, Semiring::plusCopy(), Got);
+  kernels::spmmInto(A, {}, B, Got);
   EXPECT_TRUE(Got.approxEquals(Expected, 1e-3f, 1e-3f));
 }
 
@@ -240,40 +243,12 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SpmmCases,
                                            SpmmCase{10, 1, 15, 400},
                                            SpmmCase{1, 4, 1, 500}));
 
-TEST(Spmm, MaxSemiringTakesRowMax) {
-  CooMatrix Coo(2, 3);
-  Coo.add(0, 0);
-  Coo.add(0, 2);
-  CsrMatrix A = Coo.toCsr();
-  DenseMatrix B(3, 1);
-  B.at(0, 0) = 1.0f;
-  B.at(1, 0) = 99.0f; // Not a neighbor; must not appear.
-  B.at(2, 0) = 7.0f;
-  DenseMatrix Out(2, 1);
-  kernels::spmmInto(A, B, Semiring::maxCopy(), Out);
-  EXPECT_FLOAT_EQ(Out.at(0, 0), 7.0f);
-  EXPECT_FLOAT_EQ(Out.at(1, 0), 0.0f); // Empty row stays zero.
-}
-
-TEST(Spmm, MeanSemiringAverages) {
-  CooMatrix Coo(1, 2);
-  Coo.add(0, 0);
-  Coo.add(0, 1);
-  CsrMatrix A = Coo.toCsr();
-  DenseMatrix B(2, 1);
-  B.at(0, 0) = 2.0f;
-  B.at(1, 0) = 4.0f;
-  DenseMatrix Out(1, 1);
-  kernels::spmmInto(A, B, Semiring::meanCopy(), Out);
-  EXPECT_FLOAT_EQ(Out.at(0, 0), 3.0f);
-}
-
 TEST(Sddmm, DotMatchesDense) {
   CsrMatrix Mask = randomSparse(8, 8, 20, 600, false);
   DenseMatrix U = randomDense(8, 5, 601);
   DenseMatrix V = randomDense(8, 5, 602);
   std::vector<float> Vals(static_cast<size_t>(Mask.nnz()));
-  kernels::sddmmInto(Mask, U, V, Semiring::plusTimes(), Vals);
+  kernels::sddmmInto(Mask, U, V, Vals);
   const auto &Offsets = Mask.rowOffsets();
   const auto &Cols = Mask.colIndices();
   for (int64_t R = 0; R < 8; ++R)
@@ -470,7 +445,7 @@ TEST(KernelChecks, SpmmDimMismatchDies) {
   CsrMatrix A = randomSparse(8, 8, 20, 72, true);
   DenseMatrix B = randomDense(9, 4, 73); // 8 cols vs 9 rows
   DenseMatrix Dst(8, 4);
-  EXPECT_DEATH(kernels::spmmInto(A, B, Semiring::plusTimes(), Dst),
+  EXPECT_DEATH(kernels::spmmInto(A, A.values(), B, Dst),
                "spmm dimension mismatch");
 }
 
@@ -486,8 +461,17 @@ TEST(KernelChecks, SpmmIntoWrongDstShapeDies) {
   CsrMatrix A = randomSparse(8, 8, 20, 76, true);
   DenseMatrix B = randomDense(8, 4, 77);
   DenseMatrix Dst(7, 4); // should be 8 x 4
-  EXPECT_DEATH(kernels::spmmInto(A, B, Semiring::plusTimes(), Dst),
+  EXPECT_DEATH(kernels::spmmInto(A, A.values(), B, Dst),
                "spmm destination shape mismatch");
+}
+
+TEST(KernelChecks, SpmmWrongValueCountDies) {
+  CsrMatrix A = randomSparse(8, 8, 20, 78, true);
+  DenseMatrix B = randomDense(8, 4, 79);
+  DenseMatrix Dst(8, 4);
+  std::vector<float> Short(static_cast<size_t>(A.nnz() - 1), 1.0f);
+  EXPECT_DEATH(kernels::spmmInto(A, Short, B, Dst),
+               "spmm edge value count mismatch");
 }
 
 //===----------------------------------------------------------------------===//
@@ -593,7 +577,7 @@ TEST(Determinism, SpmmUnweightedBitwiseIdenticalAcrossThreadCounts) {
   auto Run = [&](int Threads) {
     return withThreads(Threads, [&] {
       DenseMatrix Out(G.numNodes(), 48);
-      kernels::spmmInto(G.adjacency(), H, Semiring::plusCopy(), Out);
+      kernels::spmmInto(G.adjacency(), {}, H, Out);
       return Out;
     });
   };
@@ -614,7 +598,7 @@ TEST(Determinism, SpmmWeightedBitwiseIdenticalAcrossThreadCounts) {
   auto Run = [&](int Threads) {
     return withThreads(Threads, [&] {
       DenseMatrix Out(G.numNodes(), 48);
-      kernels::spmmInto(A, H, Semiring::plusTimes(), Out);
+      kernels::spmmInto(A, A.values(), H, Out);
       return Out;
     });
   };
@@ -672,7 +656,7 @@ TEST(Determinism, SddmmBitwiseIdenticalAcrossThreadCounts) {
   auto Run = [&](int Threads) {
     return withThreads(Threads, [&] {
       std::vector<float> Out(static_cast<size_t>(G.numEdges()));
-      kernels::sddmmInto(G.adjacency(), U, V, Semiring::plusTimes(), Out);
+      kernels::sddmmInto(G.adjacency(), U, V, Out);
       return Out;
     });
   };

@@ -2,6 +2,8 @@
 
 #include "serve/PlanCache.h"
 
+#include "serve/Engine.h"
+
 #include "assoc/Enumerate.h"
 #include "assoc/PlanSerialize.h"
 #include "assoc/Prune.h"
@@ -12,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <unistd.h>
 
@@ -253,6 +256,85 @@ TEST(PlanCache, FormatStampedSpillFileIsDeletedAndTreatedAsMiss) {
   EXPECT_FALSE(std::filesystem::exists(Path));
   Cache.put(Key, somePlans());
   EXPECT_NE(Cache.get(Key), nullptr);
+}
+
+// A spill file that parses but holds no usable plan set must not reach the
+// Optimizer, whose checks abort: served through the run verb, the request
+// recompiles, answers OK, and writes a sound spill file back.
+void expectEditedSpillRecompiles(
+    const std::string &Tag, const std::function<void(std::string &)> &Edit) {
+  std::string Dir = uniqueTempDir(Tag);
+  std::filesystem::remove_all(Dir);
+  EngineOptions Opts;
+  Opts.SpillDir = Dir;
+  JobRequest Req;
+  Req.ModelText = "model GCN {\n"
+                  "  input graph A;\n"
+                  "  input features H;\n"
+                  "  param weight W;\n"
+                  "  d = inv_sqrt_degree(A);\n"
+                  "  h = row_scale(d, H);\n"
+                  "  h = aggregate(A, h);\n"
+                  "  h = matmul(h, W);\n"
+                  "  h = row_scale(d, h);\n"
+                  "  output relu(h);\n"
+                  "}\n";
+  Req.GraphSpec = "synth:mycielskian";
+  Req.KIn = 8;
+  Req.KOut = 12;
+  {
+    Engine First(Opts);
+    ASSERT_TRUE(First.run(Req).Status.Ok);
+  }
+  std::string Path;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+    if (Entry.path().filename().string().rfind("plans-", 0) == 0)
+      Path = Entry.path().string();
+  ASSERT_FALSE(Path.empty()) << "no spill file written";
+  std::string Text;
+  {
+    std::ifstream In(Path);
+    std::stringstream Buf;
+    Buf << In.rdbuf();
+    Text = Buf.str();
+  }
+  Edit(Text);
+  {
+    std::ofstream Out(Path, std::ios::trunc);
+    Out << Text;
+  }
+
+  Engine Second(Opts);
+  RunResponse Resp = Second.run(Req);
+  ASSERT_TRUE(Resp.Status.Ok) << Resp.Status.Error;
+  EXPECT_FALSE(Resp.PlanCacheHit) << "the corrupt file must not be served";
+  EXPECT_EQ(Second.stats().PlanCache.Corrupt, 1u);
+  EXPECT_EQ(Second.stats().PlanCache.Spills, 1u) << "recompile writes back";
+  EXPECT_TRUE(Second.run(Req).Status.Ok) << "the engine keeps serving";
+
+  Engine Third(Opts); // the rewritten file is a sound disk hit
+  RunResponse Reloaded = Third.run(Req);
+  ASSERT_TRUE(Reloaded.Status.Ok);
+  EXPECT_TRUE(Reloaded.PlanCacheHit);
+  EXPECT_EQ(Third.stats().PlanCache.Corrupt, 0u);
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(PlanCache, SpillTruncatedToHeaderRecompilesThroughEngine) {
+  expectEditedSpillRecompiles("header-only", [](std::string &Text) {
+    Text = Text.substr(0, Text.find('\n') + 1);
+  });
+}
+
+TEST(PlanCache, SpillWithUnviablePlanRecompilesThroughEngine) {
+  expectEditedSpillRecompiles("unviable", [](std::string &Text) {
+    // The first plan record claims viability in neither scenario.
+    size_t Begin = Text.find("\nplan ");
+    ASSERT_NE(Begin, std::string::npos);
+    size_t End = Text.find('\n', Begin + 1);
+    size_t FlagsAt = Text.rfind(' ', Text.rfind(' ', End - 1) - 1);
+    Text.replace(FlagsAt, End - FlagsAt, " 0 0");
+  });
 }
 
 TEST(PlanCache, SharedValueSurvivesEviction) {

@@ -12,6 +12,7 @@
 #include "shard/ShardExec.h"
 
 #include "graph/Generators.h"
+#include "kernels/Dispatch.h"
 #include "kernels/Kernels.h"
 #include "support/ThreadPool.h"
 #include "tensor/CooMatrix.h"
@@ -19,10 +20,12 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -289,10 +292,9 @@ TEST(ShardBlocks, EmptyShardsExecuteAsNoOps) {
   shard::ShardSet Set = shard::ShardSet::build(Adj, P);
   DenseMatrix B(3, 4), Want(3, 4), Got(3, 4);
   fillMatrix(B, 31);
-  kernels::spmmInto(Adj, B, Semiring::plusCopy(), Want);
+  kernels::spmmInto(Adj, {}, B, Want);
   shard::ShardStaging Stage;
-  shard::shardedSpmmInto(Set, Stage, Adj.values(), B, Semiring::plusCopy(),
-                         Got);
+  shard::shardedSpmmInto(Set, Stage, {}, B, Got);
   EXPECT_TRUE(bitwiseEqual(Want, Got));
 }
 
@@ -305,20 +307,19 @@ protected:
   void TearDown() override { ThreadPool::get().setNumThreads(0); }
 };
 
-TEST_F(ShardKernelBitwise, ForwardAllSemirings) {
+TEST_F(ShardKernelBitwise, ForwardWeightedAndUnitWeights) {
   Graph G = makeRmat(500, 5000, 0.55, 0.15, 0.15, 41, "fw");
   CsrMatrix Adj = G.adjacency();
   Adj.setValues(randomEdgeValues(Adj.nnz(), 77));
   DenseMatrix B(Adj.rows(), 24);
   fillMatrix(B, 9);
 
-  const Semiring Rings[] = {Semiring::plusTimes(), Semiring::plusCopy(),
-                            Semiring::meanCopy(), Semiring::maxCopy(),
-                            {ReduceOpKind::Min, CombineOpKind::Mul},
-                            {ReduceOpKind::Sum, CombineOpKind::Add}};
-  for (const Semiring &S : Rings) {
+  for (bool Weighted : {true, false}) {
+    const std::span<const float> Vals =
+        Weighted ? std::span<const float>(Adj.values())
+                 : std::span<const float>();
     DenseMatrix Want(Adj.rows(), 24);
-    kernels::spmmInto(Adj, B, S, Want);
+    kernels::spmmInto(Adj, Vals, B, Want);
     for (int Shards : {1, 2, 4, 7}) {
       shard::GraphPartition P = shard::partitionGraph(Adj, Shards);
       shard::ShardSet Set = shard::ShardSet::build(Adj, P);
@@ -327,9 +328,9 @@ TEST_F(ShardKernelBitwise, ForwardAllSemirings) {
         shard::ShardStaging Stage;
         DenseMatrix Got(Adj.rows(), 24);
         fillMatrix(Got, 999); // poison: kernel must fully overwrite
-        shard::shardedSpmmInto(Set, Stage, Adj.values(), B, S, Got);
+        shard::shardedSpmmInto(Set, Stage, Vals, B, Got);
         EXPECT_TRUE(bitwiseEqual(Want, Got))
-            << "semiring " << semiringName(S) << " shards " << Shards
+            << "weighted " << Weighted << " shards " << Shards
             << " threads " << Threads;
       }
     }
@@ -342,16 +343,14 @@ TEST_F(ShardKernelBitwise, ForwardUnweighted) {
   ASSERT_TRUE(Adj.values().empty());
   DenseMatrix B(Adj.rows(), 16);
   fillMatrix(B, 3);
-  for (const Semiring &S : {Semiring::plusTimes(), Semiring::meanCopy()}) {
-    DenseMatrix Want(Adj.rows(), 16);
-    kernels::spmmInto(Adj, B, S, Want);
-    shard::GraphPartition P = shard::partitionGraph(Adj, 3);
-    shard::ShardSet Set = shard::ShardSet::build(Adj, P);
-    shard::ShardStaging Stage;
-    DenseMatrix Got(Adj.rows(), 16);
-    shard::shardedSpmmInto(Set, Stage, Adj.values(), B, S, Got);
-    EXPECT_TRUE(bitwiseEqual(Want, Got)) << semiringName(S);
-  }
+  DenseMatrix Want(Adj.rows(), 16);
+  kernels::spmmInto(Adj, Adj.values(), B, Want);
+  shard::GraphPartition P = shard::partitionGraph(Adj, 3);
+  shard::ShardSet Set = shard::ShardSet::build(Adj, P);
+  shard::ShardStaging Stage;
+  DenseMatrix Got(Adj.rows(), 16);
+  shard::shardedSpmmInto(Set, Stage, Adj.values(), B, Got);
+  EXPECT_TRUE(bitwiseEqual(Want, Got));
 }
 
 TEST_F(ShardKernelBitwise, BackwardTransposed) {
@@ -362,11 +361,12 @@ TEST_F(ShardKernelBitwise, BackwardTransposed) {
   DenseMatrix DY(Adj.rows(), 20);
   fillMatrix(DY, 15);
 
-  const Semiring Rings[] = {Semiring::plusTimes(), Semiring::plusCopy(),
-                            Semiring::meanCopy()};
-  for (const Semiring &S : Rings) {
+  for (bool Weighted : {true, false}) {
+    const std::span<const float> Vals =
+        Weighted ? std::span<const float>(Adj.values())
+                 : std::span<const float>();
     DenseMatrix Want(Adj.rows(), 20);
-    kernels::spmmCscTransposedInto(Csc, Adj.values(), DY, S, Want);
+    kernels::spmmCscTransposedInto(Csc, Vals, DY, Want);
     for (int Shards : {2, 4}) {
       shard::GraphPartition P = shard::partitionGraph(Adj, Shards);
       shard::ShardSet Set = shard::ShardSet::build(Adj, P);
@@ -375,10 +375,9 @@ TEST_F(ShardKernelBitwise, BackwardTransposed) {
         shard::ShardStaging Stage;
         DenseMatrix Got(Adj.rows(), 20);
         fillMatrix(Got, 999);
-        shard::shardedSpmmCscTransposedInto(Set, Stage, Adj.values(), DY, S,
-                                            Got);
+        shard::shardedSpmmCscTransposedInto(Set, Stage, Vals, DY, Got);
         EXPECT_TRUE(bitwiseEqual(Want, Got))
-            << "semiring " << semiringName(S) << " shards " << Shards
+            << "weighted " << Weighted << " shards " << Shards
             << " threads " << Threads;
       }
     }
@@ -399,6 +398,55 @@ TEST_F(ShardKernelBitwise, StagingReachesSteadyState) {
   EXPECT_EQ(Stage.ensureForward(Set, 64), 0u);
   EXPECT_GT(Stage.ensureBackward(Set, 64), 0u);
   EXPECT_EQ(Stage.ensureBackward(Set, 64), 0u);
+}
+
+TEST_F(ShardKernelBitwise, EmptyValueSpanMeansUnitWeightsAtEveryIsa) {
+  // The unit-weight contract shared by every SpMM entry point: an empty
+  // value span adds each neighbor row as it is, whatever values the
+  // matrix carries. The reference is that add sequence in CSR order, so
+  // all three kernels must match it bit for bit at every ISA level.
+  Graph G = makeRmat(300, 2600, 0.55, 0.15, 0.15, 81, "unit");
+  CsrMatrix Adj = G.adjacency();
+  Adj.setValues(randomEdgeValues(Adj.nnz(), 97));
+  const int64_t K = 37; // vector bodies plus a scalar tail at every width
+  DenseMatrix B(Adj.rows(), K);
+  fillMatrix(B, 13);
+
+  DenseMatrix Ref(Adj.rows(), K);
+  for (int64_t R = 0; R < Adj.rows(); ++R) {
+    float *Out = Ref.rowPtr(R);
+    std::fill(Out, Out + K, 0.0f);
+    for (int64_t E = Adj.rowOffsets()[static_cast<size_t>(R)];
+         E < Adj.rowOffsets()[static_cast<size_t>(R) + 1]; ++E) {
+      const float *Src = B.rowPtr(Adj.colIndices()[static_cast<size_t>(E)]);
+      for (int64_t J = 0; J < K; ++J)
+        Out[J] += Src[J];
+    }
+  }
+  // Column c of A^T is row c of A, in the same order, so the transposed
+  // kernel over A^T's CSC computes A * B.
+  CscMatrix CscOfT = CscMatrix::fromCsr(Adj.transposed());
+  shard::ShardSet Set =
+      shard::ShardSet::build(Adj, shard::partitionGraph(Adj, 4));
+
+  const kernels::IsaLevel Entry = kernels::activeIsaLevel();
+  for (kernels::IsaLevel Level : kernels::supportedIsaLevels()) {
+    SCOPED_TRACE(kernels::isaLevelName(Level));
+    ASSERT_TRUE(kernels::setIsaLevel(Level));
+    DenseMatrix Whole(Adj.rows(), K), Csc(Adj.rows(), K),
+        Sharded(Adj.rows(), K);
+    kernels::spmmInto(Adj, {}, B, Whole);
+    kernels::spmmCscTransposedInto(CscOfT, {}, B, Csc);
+    shard::ShardStaging Stage;
+    shard::shardedSpmmInto(Set, Stage, {}, B, Sharded);
+    const size_t Bytes = static_cast<size_t>(Ref.size()) * sizeof(float);
+    EXPECT_EQ(std::memcmp(Whole.data(), Ref.data(), Bytes), 0) << "spmm";
+    EXPECT_EQ(std::memcmp(Csc.data(), Whole.data(), Bytes), 0)
+        << "spmm_csc_t";
+    EXPECT_EQ(std::memcmp(Sharded.data(), Whole.data(), Bytes), 0)
+        << "sharded spmm";
+  }
+  kernels::setIsaLevel(Entry);
 }
 
 //===----------------------------------------------------------------------===//
@@ -454,10 +502,8 @@ TEST_F(ShardStore, SaveLoadRoundTrip) {
   DenseMatrix B(Adj.rows(), 12), Want(Adj.rows(), 12), Got(Adj.rows(), 12);
   fillMatrix(B, 5);
   shard::ShardStaging S1, S2;
-  shard::shardedSpmmInto(Built, S1, Adj.values(), B, Semiring::plusTimes(),
-                         Want);
-  shard::shardedSpmmInto(Loaded, S2, Adj.values(), B, Semiring::plusTimes(),
-                         Got);
+  shard::shardedSpmmInto(Built, S1, Adj.values(), B, Want);
+  shard::shardedSpmmInto(Loaded, S2, Adj.values(), B, Got);
   EXPECT_TRUE(bitwiseEqual(Want, Got));
 
   // A saved copy of a mapped set round-trips too (save-from-mmap path).

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -272,22 +273,22 @@ TEST(CrossIsa, SpmmAgreesWithScalarLevel) {
   CsrMatrix Unweighted = randomSparse(60, 60, 320, 22, /*Weighted=*/false);
   DenseMatrix B = randomDense(60, 33, 23);
 
-  auto Spmm = [&](const CsrMatrix &A, const Semiring &S) {
+  auto Spmm = [&](const CsrMatrix &A, std::span<const float> Vals) {
     DenseMatrix Out(60, 33);
-    kernels::spmmInto(A, B, S, Out);
+    kernels::spmmInto(A, Vals, B, Out);
     return Out;
   };
 
   ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Scalar));
-  DenseMatrix RefW = Spmm(Weighted, Semiring::plusTimes());
-  DenseMatrix RefU = Spmm(Unweighted, Semiring::plusCopy());
+  DenseMatrix RefW = Spmm(Weighted, Weighted.values());
+  DenseMatrix RefU = Spmm(Unweighted, {});
 
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
     ASSERT_TRUE(kernels::setIsaLevel(Level));
-    expectApproxEqual(Spmm(Weighted, Semiring::plusTimes()), RefW, 1e-5f,
+    expectApproxEqual(Spmm(Weighted, Weighted.values()), RefW, 1e-5f,
                       "weighted spmm");
-    expectApproxEqual(Spmm(Unweighted, Semiring::plusCopy()), RefU, 1e-5f,
+    expectApproxEqual(Spmm(Unweighted, {}), RefU, 1e-5f,
                       "unweighted spmm");
   }
 }
@@ -300,7 +301,7 @@ TEST(CrossIsa, SddmmAgreesWithScalarLevel) {
 
   auto Sddmm = [&] {
     std::vector<float> Out(static_cast<size_t>(Mask.nnz()));
-    kernels::sddmmInto(Mask, U, V, Semiring::plusTimes(), Out);
+    kernels::sddmmInto(Mask, U, V, Out);
     return Out;
   };
 
@@ -328,7 +329,7 @@ TEST(CrossIsa, SddmmAgreesWithScalarLevel) {
     DenseMatrix VK = randomDense(40, K, 35);
     auto SddmmK = [&] {
       std::vector<float> Out(static_cast<size_t>(Mask.nnz()));
-      kernels::sddmmInto(Mask, UK, VK, Semiring::plusTimes(), Out);
+      kernels::sddmmInto(Mask, UK, VK, Out);
       return Out;
     };
     ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Avx2));
@@ -415,9 +416,9 @@ TEST(CrossIsa, WithinLevelResultsAreThreadCountInvariant) {
     ASSERT_TRUE(kernels::setIsaLevel(Level));
     DenseMatrix One(80, 29), Four(80, 29);
     ThreadPool::get().setNumThreads(1);
-    kernels::spmmInto(A, H, Semiring::plusTimes(), One);
+    kernels::spmmInto(A, A.values(), H, One);
     ThreadPool::get().setNumThreads(4);
-    kernels::spmmInto(A, H, Semiring::plusTimes(), Four);
+    kernels::spmmInto(A, A.values(), H, Four);
     EXPECT_EQ(Four.maxAbsDiff(One), 0.0f)
         << "thread count changed spmm output";
   }
