@@ -86,13 +86,16 @@ struct SimdOps {
       nullptr;
 
   /// SpMM over CSR rows [RowBegin, RowEnd) and the first \p Width feature
-  /// columns: each row sums its neighbors' B rows, scaled by \p Vals[k]
-  /// when \p Vals is non-null and added as they are when it is null
-  /// (unit weights).
+  /// columns: each row sums its neighbors' B rows, scaled by edge k's
+  /// weight when \p Vals is non-null and added as they are when it is null
+  /// (unit weights). Edge k's weight is Vals[k], or Vals[ValIdx[k]] when
+  /// \p ValIdx is non-null: the CSC-transposed kernels pass the CSC->CSR
+  /// index map there, so one routine serves CSR rows and CSC columns.
   void (*SpmmRowRange)(const int64_t *Offsets, const int32_t *Cols,
-                       const float *Vals, const float *B, int64_t Ldb,
-                       float *Dst, int64_t LdDst, int64_t Width,
-                       int64_t RowBegin, int64_t RowEnd) = nullptr;
+                       const float *Vals, const int64_t *ValIdx,
+                       const float *B, int64_t Ldb, float *Dst,
+                       int64_t LdDst, int64_t Width, int64_t RowBegin,
+                       int64_t RowEnd) = nullptr;
 
   /// Plus-times SDDMM (per-edge dot product over the first \p Width
   /// features) over CSR rows [RowBegin, RowEnd).
@@ -112,6 +115,8 @@ struct SimdOps {
                     int64_t N) = nullptr; ///< Y += Alpha * X
   void (*ReluRange)(const float *X, float *Out,
                     int64_t N) = nullptr; ///< Out = max(X, 0)
+  void (*LeakyReluRange)(float Slope, const float *X, float *Out,
+                         int64_t N) = nullptr; ///< X > 0 ? X : Slope * X
 };
 
 /// Best level both this build and this host support (CPUID-probed once;

@@ -285,8 +285,9 @@ void kernels::spmmInto(const CsrMatrix &A, std::span<const float> Vals,
   const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
   const int64_t NCols = B.cols();
   parallelForCsrRows(Offsets, [&](int64_t RowBegin, int64_t RowEnd) {
-    Ops.SpmmRowRange(Offsets.data(), A.colIndices().data(), ValsPtr, B.data(),
-                     NCols, Dst.data(), NCols, NCols, RowBegin, RowEnd);
+    Ops.SpmmRowRange(Offsets.data(), A.colIndices().data(), ValsPtr, nullptr,
+                     B.data(), NCols, Dst.data(), NCols, NCols, RowBegin,
+                     RowEnd);
   });
 }
 // granii-noalloc-end
@@ -298,28 +299,19 @@ void kernels::spmmCscTransposedInto(const CscMatrix &A,
   GRANII_CHECK(Vals.empty() || static_cast<int64_t>(Vals.size()) == A.nnz(),
                "spmm_csc_t edge value count mismatch");
   checkDenseDst(Dst, A.cols(), B.cols(), "spmm_csc_t");
+  // Output row c is column c of the source, so the CSC arrays are the CSR
+  // arrays of A^T and the SpMM row routine walks them directly; edge
+  // values gather through the CSC->CSR index map in place. Entries arrive
+  // in ascending source-row order, so this matches spmmInto over the
+  // transpose bitwise.
   const auto &ColOffsets = A.colOffsets();
-  const auto &Rows = A.rowIndices();
-  const auto &CsrIdx = A.csrIndices();
-  const int64_t NCols = B.cols();
-  // Output row c is column c of the source. The sum runs through the
-  // dispatch table's per-neighbor ops, the loop bodies of SpmmRowRange, so
-  // it matches spmmInto over the transpose bitwise; unlike the other
-  // kernels here, that costs one indirect call per edge. Values gather
-  // through the CSC->CSR index map in place.
   const SimdOps &Ops = simdOps();
+  const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
+  const int64_t NCols = B.cols();
   parallelForCsrRows(ColOffsets, [&](int64_t ColBegin, int64_t ColEnd) {
-    for (int64_t C = ColBegin; C < ColEnd; ++C) {
-      float *Out = Dst.rowPtr(C);
-      std::fill(Out, Out + NCols, 0.0f);
-      for (int64_t K = ColOffsets[C]; K < ColOffsets[C + 1]; ++K) {
-        const float *Src = B.rowPtr(Rows[K]);
-        if (Vals.empty())
-          Ops.AddRange(Out, Src, Out, NCols);
-        else
-          Ops.AxpyRange(Vals[static_cast<size_t>(CsrIdx[K])], Src, Out, NCols);
-      }
-    }
+    Ops.SpmmRowRange(ColOffsets.data(), A.rowIndices().data(), ValsPtr,
+                     A.csrIndices().data(), B.data(), NCols, Dst.data(), NCols,
+                     NCols, ColBegin, ColEnd);
   });
 }
 
@@ -450,13 +442,11 @@ void kernels::edgeSoftmaxInto(const CsrMatrix &A,
 void kernels::leakyReluEdgesInto(std::span<const float> EdgeValues,
                                  float NegativeSlope, std::span<float> Out) {
   checkVecDst(Out, EdgeValues.size(), "edge_leaky_relu");
+  const SimdOps &Ops = simdOps();
   parallelFor(0, static_cast<int64_t>(EdgeValues.size()), DenseGrainOps,
               [&](int64_t Begin, int64_t End) {
-                for (int64_t I = Begin; I < End; ++I)
-                  Out[static_cast<size_t>(I)] =
-                      EdgeValues[static_cast<size_t>(I)] > 0.0f
-                          ? EdgeValues[static_cast<size_t>(I)]
-                          : NegativeSlope * EdgeValues[static_cast<size_t>(I)];
+                Ops.LeakyReluRange(NegativeSlope, EdgeValues.data() + Begin,
+                                   Out.data() + Begin, End - Begin);
               });
 }
 

@@ -20,10 +20,16 @@ namespace {
 
 struct Avx2Traits {
   using Vec = __m256;
+  using Mask = __m256i;
   static constexpr int64_t Width = 8;
   /// Dot-product group size; shared with the AVX-512 table so both SIMD
   /// levels fold the sddmm reduction identically.
   static constexpr int64_t DotGroup = 8;
+  /// Tile widths in vectors: GEMM tiles are GemmRowBlock rows x 2
+  /// vectors (8 accumulators plus operands within 16 registers), SpMM
+  /// tiles are 8 vectors (one 64-float row).
+  static constexpr int GemmTileVecs = 2;
+  static constexpr int SpmmTileVecs = 8;
 
   static Vec load(const float *P) { return _mm256_loadu_ps(P); }
   static void store(float *P, Vec V) { _mm256_storeu_ps(P, V); }
@@ -33,6 +39,23 @@ struct Avx2Traits {
   static Vec mul(Vec A, Vec B) { return _mm256_mul_ps(A, B); }
   static Vec fma(Vec A, Vec B, Vec C) { return _mm256_fmadd_ps(A, B, C); }
   static Vec max(Vec A, Vec B) { return _mm256_max_ps(A, B); }
+  /// X where X > 0 (ordered), else \p Else.
+  static Vec positiveOr(Vec X, Vec Else) {
+    return _mm256_blendv_ps(Else, X,
+                            _mm256_cmp_ps(X, _mm256_setzero_ps(), _CMP_GT_OQ));
+  }
+
+  /// The low \p Lanes lanes.
+  static Mask mask(int64_t Lanes) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(Lanes)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  static Vec loadMasked(const float *P, Mask M) {
+    return _mm256_maskload_ps(P, M);
+  }
+  static void storeMasked(float *P, Mask M, Vec V) {
+    _mm256_maskstore_ps(P, M, V);
+  }
 
   /// Lane-pair reduction tree: (0+4, 1+5, 2+6, 3+7) -> pairs -> scalar.
   /// Fixed order, so every dot group folds identically wherever it runs.
@@ -59,9 +82,9 @@ const granii::kernels::SimdOps *granii::kernels::detail::avx2SimdOps() {
         simd_impl::makeSimdOps<Avx2Traits>(IsaLevel::Avx2, "avx2");
     // Calibration vs the scalar level, medians from `micro_kernels --json`
     // on the reference host (docs/SIMD.md documents the procedure): gemm
-    // 7.9x; geomean of spmm_u 4.9x / spmm_w 4.9x / sddmm 2.2x = 3.8x.
-    Table.DenseThroughputScale = 8.0;
-    Table.SparseThroughputScale = 3.8;
+    // 18.7x; geomean of spmm_u 9.0x / spmm_w 8.3x / sddmm 2.8x = 6.0x.
+    Table.DenseThroughputScale = 18.7;
+    Table.SparseThroughputScale = 6.0;
     return Table;
   }();
   return &Ops;

@@ -25,8 +25,14 @@ namespace {
 
 struct Avx512Traits {
   using Vec = __m512;
+  using Mask = __mmask16;
   static constexpr int64_t Width = 16;
   static constexpr int64_t DotGroup = 8;
+  /// Tile widths in vectors: GEMM tiles are GemmRowBlock rows x 4
+  /// vectors (16 accumulators), SpMM tiles are 4 vectors (one 64-float
+  /// row), both well inside the 32 vector registers.
+  static constexpr int GemmTileVecs = 4;
+  static constexpr int SpmmTileVecs = 4;
 
   static Vec load(const float *P) { return _mm512_loadu_ps(P); }
   static void store(float *P, Vec V) { _mm512_storeu_ps(P, V); }
@@ -36,6 +42,22 @@ struct Avx512Traits {
   static Vec mul(Vec A, Vec B) { return _mm512_mul_ps(A, B); }
   static Vec fma(Vec A, Vec B, Vec C) { return _mm512_fmadd_ps(A, B, C); }
   static Vec max(Vec A, Vec B) { return _mm512_max_ps(A, B); }
+  /// X where X > 0 (ordered), else \p Else.
+  static Vec positiveOr(Vec X, Vec Else) {
+    return _mm512_mask_blend_ps(
+        _mm512_cmp_ps_mask(X, _mm512_setzero_ps(), _CMP_GT_OQ), Else, X);
+  }
+
+  /// The low \p Lanes lanes.
+  static Mask mask(int64_t Lanes) {
+    return static_cast<Mask>((1u << Lanes) - 1u);
+  }
+  static Vec loadMasked(const float *P, Mask M) {
+    return _mm512_maskz_loadu_ps(M, P);
+  }
+  static void storeMasked(float *P, Mask M, Vec V) {
+    _mm512_mask_storeu_ps(P, M, V);
+  }
 
   static float hsum(Vec V) { return _mm512_reduce_add_ps(V); }
 
@@ -60,9 +82,9 @@ const granii::kernels::SimdOps *granii::kernels::detail::avx512SimdOps() {
         simd_impl::makeSimdOps<Avx512Traits>(IsaLevel::Avx512, "avx512");
     // Calibration vs the scalar level, medians from `micro_kernels --json`
     // on the reference host (docs/SIMD.md documents the procedure): gemm
-    // 13.5x; geomean of spmm_u 6.8x / spmm_w 5.0x / sddmm 2.3x = 4.3x.
-    Table.DenseThroughputScale = 13.5;
-    Table.SparseThroughputScale = 4.3;
+    // 45.6x; geomean of spmm_u 13.1x / spmm_w 12.4x / sddmm 2.7x = 7.6x.
+    Table.DenseThroughputScale = 45.6;
+    Table.SparseThroughputScale = 7.6;
     return Table;
   }();
   return &Ops;

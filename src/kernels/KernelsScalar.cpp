@@ -71,9 +71,9 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 }
 
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
-                  const float *Vals, const float *B, int64_t Ldb, float *Dst,
-                  int64_t LdDst, int64_t Width, int64_t RowBegin,
-                  int64_t RowEnd) {
+                  const float *Vals, const int64_t *ValIdx, const float *B,
+                  int64_t Ldb, float *Dst, int64_t LdDst, int64_t Width,
+                  int64_t RowBegin, int64_t RowEnd) {
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     float *Out = Dst + R * LdDst;
     std::fill(Out, Out + Width, 0.0f);
@@ -83,7 +83,7 @@ void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
         for (int64_t J = 0; J < Width; ++J)
           Out[J] += Src[J];
       } else {
-        const float EdgeVal = Vals[K];
+        const float EdgeVal = Vals[ValIdx ? ValIdx[K] : K];
         for (int64_t J = 0; J < Width; ++J)
           Out[J] += EdgeVal * Src[J];
       }
@@ -132,6 +132,11 @@ void reluRange(const float *X, float *Out, int64_t N) {
     Out[I] = X[I] > 0.0f ? X[I] : 0.0f;
 }
 
+void leakyReluRange(float Slope, const float *X, float *Out, int64_t N) {
+  for (int64_t I = 0; I < N; ++I)
+    Out[I] = X[I] > 0.0f ? X[I] : Slope * X[I];
+}
+
 SimdOps makeScalarOps() {
   SimdOps Ops;
   Ops.Level = IsaLevel::Scalar;
@@ -148,6 +153,7 @@ SimdOps makeScalarOps() {
   Ops.AddRange = &addRange;
   Ops.AxpyRange = &axpyRange;
   Ops.ReluRange = &reluRange;
+  Ops.LeakyReluRange = &leakyReluRange;
   return Ops;
 }
 

@@ -9,12 +9,19 @@
 /// original scalar loops verbatim (KernelsScalar.cpp) so GRANII_ISA=scalar
 /// stays bitwise-identical to the pre-SIMD library.
 ///
+/// Register contract: the accumulating routines (GEMM, A^T * B, SpMM) keep
+/// their accumulators in small arrays indexed only by constants that fold
+/// expressions over std::integer_sequence produce. The unrolling is thus
+/// fixed by construction rather than left to the optimizer, and at the
+/// Release build's -O2 every accumulator is a register across the
+/// contraction or edge loop (docs/SIMD.md).
+///
 /// Determinism within an ISA level: each output element's reduction is a
-/// single serial chain over the contraction dimension, identical in the
-/// register-blocked, single-row, and scalar-tail code paths — tail elements
-/// use std::fma, which (compiled under the same -mfma flags) rounds exactly
-/// like a vector FMA lane. Row/element partitions therefore cannot change
-/// any result bit, preserving the 1-vs-N-thread contract. The sddmm dot
+/// single serial chain over the contraction dimension (or the row's edges),
+/// identical in every tile shape: a width that is not a multiple of the
+/// vector width ends in a masked vector whose lanes run the same operations.
+/// Row/element partitions therefore cannot change any result bit,
+/// preserving the 1-vs-N-thread contract. The sddmm dot
 /// product is the one reduction whose order depends on position: features
 /// are folded in groups of Traits::DotGroup. The AVX2 and AVX-512 traits
 /// share one group size, so their sddmm results agree bit for bit.
@@ -26,88 +33,69 @@
 
 #include "kernels/Dispatch.h"
 
-#include <algorithm>
 #include <cmath>
+#include <type_traits>
+#include <utility>
 
 namespace granii {
 namespace kernels {
 namespace simd_impl {
 
-/// Rows per register block in the packed GEMM routines: 4 output rows x 2
-/// vectors of accumulators stays within 16 architectural vector registers
-/// (with B-row and broadcast temporaries) on AVX2.
-constexpr int64_t GemmRowBlock = 4;
+template <int... I> using Ints = std::integer_sequence<int, I...>;
+template <int N> using Seq = std::make_integer_sequence<int, N>;
+
+/// Rows per register block in the packed GEMMs.
+constexpr int GemmRowBlock = 4;
 
 //===----------------------------------------------------------------------===//
-// Packed GEMM: C = A * B
+// Register tiles
 //===----------------------------------------------------------------------===//
 
-/// One block of \p MR consecutive C rows starting at \p I. Accumulators
-/// live in registers across the whole K loop; every (row, column) element
-/// accumulates over K in ascending order through FMA regardless of which
-/// j-path (2-vector, 1-vector, scalar tail) covers its column, so results
-/// are independent of N's split into paths and of MR.
-template <class T, int MR>
-void gemmBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
-               float *C, int64_t Ldc, int64_t K, int64_t N, int64_t I) {
-  using Vec = typename T::Vec;
+/// Vector \p V of a tile of \p NV vectors at \p P. With \p Partial the
+/// tile's last vector covers only the lanes of \p M (masked lanes read as 0
+/// and are never stored), so a width that is not a multiple of the vector
+/// width still runs every element through the same lane operations.
+template <class T, int NV, bool Partial, int V>
+typename T::Vec tileLoad(const float *P, typename T::Mask M) {
+  if constexpr (Partial && V == NV - 1)
+    return T::loadMasked(P, M);
+  else
+    return T::load(P);
+}
+
+template <class T, int NV, bool Partial, int V>
+void tileStore(float *P, typename T::Vec X, typename T::Mask M) {
+  if constexpr (Partial && V == NV - 1)
+    T::storeMasked(P, M, X);
+  else
+    T::store(P, X);
+}
+
+/// Walks columns [0, \p Width) in tiles of \p NV vectors: full tiles,
+/// then one tile of the remaining vectors, its last one masked when
+/// \p Width is not a multiple of the vector width. \p Tile is called as
+/// Tile(J, Seq<vectors>(), std::bool_constant<Partial>(), Mask); the
+/// vector count is a template argument, picked by a fold over the
+/// possible counts, so every tile is unrolled by construction.
+template <class T, int NV, class TileFn>
+void forEachTile(int64_t Width, TileFn &&Tile) {
   constexpr int64_t W = T::Width;
+  const typename T::Mask M = T::mask(Width % W);
   int64_t J = 0;
-  for (; J + 2 * W <= N; J += 2 * W) {
-    Vec Acc[MR][2];
-    for (int R = 0; R < MR; ++R)
-      Acc[R][0] = Acc[R][1] = T::zero();
-    for (int64_t KK = 0; KK < K; ++KK) {
-      const float *BRow = B + KK * Ldb + J;
-      Vec B0 = T::load(BRow);
-      Vec B1 = T::load(BRow + W);
-      for (int R = 0; R < MR; ++R) {
-        Vec AV = T::set1(A[(I + R) * Lda + KK]);
-        Acc[R][0] = T::fma(AV, B0, Acc[R][0]);
-        Acc[R][1] = T::fma(AV, B1, Acc[R][1]);
-      }
-    }
-    for (int R = 0; R < MR; ++R) {
-      float *CRow = C + (I + R) * Ldc + J;
-      T::store(CRow, Acc[R][0]);
-      T::store(CRow + W, Acc[R][1]);
-    }
-  }
-  for (; J + W <= N; J += W) {
-    Vec Acc[MR];
-    for (int R = 0; R < MR; ++R)
-      Acc[R] = T::zero();
-    for (int64_t KK = 0; KK < K; ++KK) {
-      Vec BV = T::load(B + KK * Ldb + J);
-      for (int R = 0; R < MR; ++R)
-        Acc[R] = T::fma(T::set1(A[(I + R) * Lda + KK]), BV, Acc[R]);
-    }
-    for (int R = 0; R < MR; ++R)
-      T::store(C + (I + R) * Ldc + J, Acc[R]);
-  }
-  for (; J < N; ++J) {
-    for (int R = 0; R < MR; ++R) {
-      float Acc = 0.0f;
-      for (int64_t KK = 0; KK < K; ++KK)
-        Acc = std::fma(A[(I + R) * Lda + KK], B[KK * Ldb + J], Acc);
-      C[(I + R) * Ldc + J] = Acc;
-    }
-  }
-}
-
-template <class T>
-void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
-                  float *C, int64_t Ldc, int64_t K, int64_t N,
-                  int64_t RowBegin, int64_t RowEnd) {
-  int64_t I = RowBegin;
-  for (; I + GemmRowBlock <= RowEnd; I += GemmRowBlock)
-    gemmBlock<T, GemmRowBlock>(A, Lda, B, Ldb, C, Ldc, K, N, I);
-  for (; I < RowEnd; ++I)
-    gemmBlock<T, 1>(A, Lda, B, Ldb, C, Ldc, K, N, I);
+  for (; J + NV * W <= Width; J += NV * W)
+    Tile(J, Seq<NV>(), std::false_type(), M);
+  const int64_t Rest = Width - J;
+  const int Vecs = static_cast<int>((Rest + W - 1) / W);
+  [&]<int... N>(Ints<N...>) {
+    ((Vecs == N + 1 ? Rest % W ? Tile(J, Seq<N + 1>(), std::true_type(), M)
+                               : Tile(J, Seq<N + 1>(), std::false_type(), M)
+                    : void()),
+     ...);
+  }(Seq<NV>());
 }
 
 //===----------------------------------------------------------------------===//
-// C = A^T * B over C's rows (columns of A)
+// Packed GEMMs: C = A * B and C = A^T * B
 //===----------------------------------------------------------------------===//
 
 /// \p P with its rounding pinned: the empty asm hides where the value came
@@ -117,70 +105,76 @@ template <class V> inline V rounded(V P) {
   return P;
 }
 
-/// Unlike the other GEMMs, every element accumulates over I as a rounded
-/// product plus a rounded sum (no FMA), the scalar table's arithmetic, so
-/// A^T * B agrees bit for bit across ISA levels (Kernels.h).
-template <class T, int MR>
-void gemmTLhsBlock(const float *A, int64_t Lda, const float *B, int64_t Ldb,
-                   float *C, int64_t Ldc, int64_t M, int64_t N, int64_t R0) {
+/// C rows [0, MR) x the tile's vectors from column J, over a contraction
+/// of length K: step KK of row R multiplies A[R * RowStride + KK * KStride]
+/// by row KK of B. \p Fused accumulates through FMA (C = A * B); otherwise
+/// each step adds a rounded product to a rounded sum (A^T * B, the scalar
+/// table's arithmetic, so it agrees bit for bit across ISA levels). Acc[X]
+/// is row X / NV, vector X % NV; every index is a constant of the folds, so
+/// the accumulators stay in registers across the K loop.
+template <class T, bool Fused, bool Partial, int... R, int... V, int... X>
+void gemmTile(Ints<R...>, Ints<V...>, Ints<X...>, const float *A,
+              int64_t RowStride, int64_t KStride, const float *B, int64_t Ldb,
+              float *C, int64_t Ldc, int64_t K, int64_t J,
+              typename T::Mask M) {
   using Vec = typename T::Vec;
+  constexpr int NV = sizeof...(V);
   constexpr int64_t W = T::Width;
-  int64_t J = 0;
-  for (; J + 2 * W <= N; J += 2 * W) {
-    Vec Acc[MR][2];
-    for (int R = 0; R < MR; ++R) {
-      Acc[R][0] = T::zero();
-      Acc[R][1] = T::zero();
-    }
-    for (int64_t I = 0; I < M; ++I) {
-      const float *BRow = B + I * Ldb + J;
-      Vec B0 = T::load(BRow);
-      Vec B1 = T::load(BRow + W);
-      const float *ACol = A + I * Lda + R0;
-      for (int R = 0; R < MR; ++R) {
-        Vec AV = T::set1(ACol[R]);
-        Acc[R][0] = T::add(Acc[R][0], rounded(T::mul(AV, B0)));
-        Acc[R][1] = T::add(Acc[R][1], rounded(T::mul(AV, B1)));
-      }
-    }
-    for (int R = 0; R < MR; ++R) {
-      float *CRow = C + (R0 + R) * Ldc + J;
-      T::store(CRow, Acc[R][0]);
-      T::store(CRow + W, Acc[R][1]);
-    }
+  Vec Acc[sizeof...(X)] = {((void)X, T::zero())...};
+  for (int64_t KK = 0; KK < K; ++KK) {
+    const float *BRow = B + KK * Ldb + J;
+    const Vec BV[NV] = {tileLoad<T, NV, Partial, V>(BRow + V * W, M)...};
+    const Vec AV[sizeof...(R)] = {
+        T::set1(A[R * RowStride + KK * KStride])...};
+    if constexpr (Fused)
+      ((Acc[X] = T::fma(AV[X / NV], BV[X % NV], Acc[X])), ...);
+    else
+      ((Acc[X] = T::add(Acc[X], rounded(T::mul(AV[X / NV], BV[X % NV])))),
+       ...);
   }
-  for (; J + W <= N; J += W) {
-    Vec Acc[MR];
-    for (int R = 0; R < MR; ++R)
-      Acc[R] = T::zero();
-    for (int64_t I = 0; I < M; ++I) {
-      Vec BV = T::load(B + I * Ldb + J);
-      const float *ACol = A + I * Lda + R0;
-      for (int R = 0; R < MR; ++R)
-        Acc[R] = T::add(Acc[R], rounded(T::mul(T::set1(ACol[R]), BV)));
-    }
-    for (int R = 0; R < MR; ++R)
-      T::store(C + (R0 + R) * Ldc + J, Acc[R]);
-  }
-  for (; J < N; ++J) {
-    for (int R = 0; R < MR; ++R) {
-      float Acc = 0.0f;
-      for (int64_t I = 0; I < M; ++I)
-        Acc += rounded(A[I * Lda + R0 + R] * B[I * Ldb + J]);
-      C[(R0 + R) * Ldc + J] = Acc;
-    }
-  }
+  (tileStore<T, NV, Partial, X % NV>(C + X / NV * Ldc + J + X % NV * W,
+                                     Acc[X], M),
+   ...);
 }
 
+/// C rows [RowBegin, RowEnd) in blocks of GemmRowBlock rows, then single
+/// rows. Every element accumulates over K in ascending order whichever
+/// block and tile (full, short or masked) covers it, so results are
+/// independent of the row range and of N's split into tiles.
+template <class T, bool Fused>
+void gemmRows(const float *A, int64_t RowStride, int64_t KStride,
+              const float *B, int64_t Ldb, float *C, int64_t Ldc, int64_t K,
+              int64_t N, int64_t RowBegin, int64_t RowEnd) {
+  auto Block = [&]<int... R>(Ints<R...> Rows, int64_t I) {
+    forEachTile<T, T::GemmTileVecs>(
+        N, [&]<int... V, bool P>(int64_t J, Ints<V...> Vecs,
+                                 std::bool_constant<P>, typename T::Mask M) {
+          gemmTile<T, Fused, P>(Rows, Vecs,
+                                Seq<sizeof...(R) * sizeof...(V)>(),
+                                A + I * RowStride, RowStride, KStride, B, Ldb,
+                                C + I * Ldc, Ldc, K, J, M);
+        });
+  };
+  int64_t I = RowBegin;
+  for (; I + GemmRowBlock <= RowEnd; I += GemmRowBlock)
+    Block(Seq<GemmRowBlock>(), I);
+  for (; I < RowEnd; ++I)
+    Block(Seq<1>(), I);
+}
+
+template <class T>
+void gemmRowRange(const float *A, int64_t Lda, const float *B, int64_t Ldb,
+                  float *C, int64_t Ldc, int64_t K, int64_t N,
+                  int64_t RowBegin, int64_t RowEnd) {
+  gemmRows<T, true>(A, Lda, 1, B, Ldb, C, Ldc, K, N, RowBegin, RowEnd);
+}
+
+/// C's rows are A's columns: row R of C reads column R of A.
 template <class T>
 void gemmTLhsRowRange(const float *A, int64_t Lda, const float *B,
                       int64_t Ldb, float *C, int64_t Ldc, int64_t M,
                       int64_t N, int64_t RowBegin, int64_t RowEnd) {
-  int64_t R = RowBegin;
-  for (; R + GemmRowBlock <= RowEnd; R += GemmRowBlock)
-    gemmTLhsBlock<T, GemmRowBlock>(A, Lda, B, Ldb, C, Ldc, M, N, R);
-  for (; R < RowEnd; ++R)
-    gemmTLhsBlock<T, 1>(A, Lda, B, Ldb, C, Ldc, M, N, R);
+  gemmRows<T, false>(A, 1, Lda, B, Ldb, C, Ldc, M, N, RowBegin, RowEnd);
 }
 
 //===----------------------------------------------------------------------===//
@@ -225,35 +219,55 @@ void gemmTRhsRowRange(const float *A, int64_t Lda, const float *B,
 // SpMM (weighted: fma per edge; unit weights: plain add)
 //===----------------------------------------------------------------------===//
 
-/// Every column's accumulation is per-element exact (add/fma lanes match
-/// their scalar-tail counterparts bit for bit), so a row's result does not
-/// depend on how the row range is partitioned.
+/// One register tile of one output row: the tile's columns of every
+/// neighbor row in [Begin, End) stream through the accumulators, which are
+/// stored once. Each element is 0 + b1 + b2 ... (unit weights) or the FMA
+/// chain over the edge weights, in edge order, whatever the tile.
+template <class T, bool Partial, int... V>
+void spmmTile(Ints<V...>, const int32_t *Cols, const float *Vals,
+              const int64_t *ValIdx, const float *B, int64_t Ldb, float *Out,
+              int64_t Begin, int64_t End, typename T::Mask M) {
+  using Vec = typename T::Vec;
+  constexpr int NV = sizeof...(V);
+  constexpr int64_t W = T::Width;
+  Vec Acc[NV] = {((void)V, T::zero())...};
+  if (!Vals) {
+    for (int64_t K = Begin; K < End; ++K) {
+      const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
+      ((Acc[V] = T::add(Acc[V], tileLoad<T, NV, Partial, V>(Src + V * W, M))),
+       ...);
+    }
+  } else {
+    for (int64_t K = Begin; K < End; ++K) {
+      const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
+      const Vec Edge = T::set1(Vals[ValIdx ? ValIdx[K] : K]);
+      ((Acc[V] = T::fma(Edge, tileLoad<T, NV, Partial, V>(Src + V * W, M),
+                        Acc[V])),
+       ...);
+    }
+  }
+  (tileStore<T, NV, Partial, V>(Out + V * W, Acc[V], M), ...);
+}
+
+/// Rows walk in tiles of T::SpmmTileVecs vectors, so a row no wider than
+/// one tile reads its edge list once and writes its output once. Every
+/// element's sequence is independent of the tiling and of how the row
+/// range is partitioned.
 template <class T>
 void spmmRowRange(const int64_t *Offsets, const int32_t *Cols,
-                  const float *Vals, const float *B, int64_t Ldb, float *Dst,
-                  int64_t LdDst, int64_t Width, int64_t RowBegin,
-                  int64_t RowEnd) {
-  constexpr int64_t W = T::Width;
+                  const float *Vals, const int64_t *ValIdx, const float *B,
+                  int64_t Ldb, float *Dst, int64_t LdDst, int64_t Width,
+                  int64_t RowBegin, int64_t RowEnd) {
   for (int64_t R = RowBegin; R < RowEnd; ++R) {
     float *Out = Dst + R * LdDst;
-    std::fill(Out, Out + Width, 0.0f);
-    for (int64_t K = Offsets[R]; K < Offsets[R + 1]; ++K) {
-      const float *Src = B + static_cast<int64_t>(Cols[K]) * Ldb;
-      int64_t J = 0;
-      if (!Vals) {
-        for (; J + W <= Width; J += W)
-          T::store(Out + J, T::add(T::load(Out + J), T::load(Src + J)));
-        for (; J < Width; ++J)
-          Out[J] += Src[J];
-        continue;
-      }
-      const float Edge = Vals[K];
-      const typename T::Vec EdgeV = T::set1(Edge);
-      for (; J + W <= Width; J += W)
-        T::store(Out + J, T::fma(EdgeV, T::load(Src + J), T::load(Out + J)));
-      for (; J < Width; ++J)
-        Out[J] = std::fma(Edge, Src[J], Out[J]);
-    }
+    const int64_t Begin = Offsets[R], End = Offsets[R + 1];
+    forEachTile<T, T::SpmmTileVecs>(
+        Width, [&]<int... V, bool P>(int64_t J, Ints<V...>,
+                                     std::bool_constant<P>,
+                                     typename T::Mask M) {
+          spmmTile<T, P>(Ints<V...>(), Cols, Vals, ValIdx, B + J, Ldb,
+                         Out + J, Begin, End, M);
+        });
   }
 }
 
@@ -346,6 +360,22 @@ void reluRange(const float *X, float *Out, int64_t N) {
     Out[I] = X[I] > 0.0f ? X[I] : 0.0f;
 }
 
+template <class T>
+void leakyReluRange(float Slope, const float *X, float *Out, int64_t N) {
+  using Vec = typename T::Vec;
+  constexpr int64_t W = T::Width;
+  const Vec SlopeV = T::set1(Slope);
+  int64_t I = 0;
+  // positiveOr keeps x only where x > 0 (an ordered compare: -0.0 and NaN
+  // take the scaled value), the scalar `x > 0 ? x : slope * x` below.
+  for (; I + W <= N; I += W) {
+    const Vec V = T::load(X + I);
+    T::store(Out + I, T::positiveOr(V, T::mul(SlopeV, V)));
+  }
+  for (; I < N; ++I)
+    Out[I] = X[I] > 0.0f ? X[I] : Slope * X[I];
+}
+
 /// Builds the dispatch table for one trait set.
 template <class T> SimdOps makeSimdOps(IsaLevel Level, const char *Name) {
   SimdOps Ops;
@@ -361,6 +391,7 @@ template <class T> SimdOps makeSimdOps(IsaLevel Level, const char *Name) {
   Ops.AddRange = &addRange<T>;
   Ops.AxpyRange = &axpyRange<T>;
   Ops.ReluRange = &reluRange<T>;
+  Ops.LeakyReluRange = &leakyReluRange<T>;
   return Ops;
 }
 

@@ -186,21 +186,34 @@ std::vector<float> &PlanWorkspace::vecFor(int Id, size_t Size) {
   return fit(VecSlots[static_cast<size_t>(B.Slot)], Size);
 }
 
-CsrMatrix &PlanWorkspace::sparseFor(int Id, const CsrMatrix &PatternSource) {
+CsrMatrix &PlanWorkspace::sparseFor(int Id, const CsrMatrix &Adj) {
   assert(Buffers && "workspace not configured");
-  CsrMatrix &S = SparseValues[static_cast<size_t>(Id)];
+  SparseSlot &Slot = SparseValues[static_cast<size_t>(Id)];
+  CsrMatrix &S = Slot.M;
   size_t OffCap = S.rowOffsets().capacity();
   size_t ColCap = S.colIndices().capacity();
   size_t ValCap = S.values().capacity();
-  // The pattern is copy-assigned every run (cheap next to any kernel that
-  // walks it, and correct even if the caller rebinds a different graph of
-  // the same size); once capacities fit this allocates nothing.
-  S.assignPattern(PatternSource.rows(), PatternSource.cols(),
-                  PatternSource.rowOffsets(), PatternSource.colIndices());
+  if (Slot.Source != &Adj || Slot.SourceRows != Adj.rows() ||
+      Slot.SourceNnz != Adj.nnz()) {
+    S.assignPattern(Adj.rows(), Adj.cols(), Adj.rowOffsets(),
+                    Adj.colIndices());
+    Slot.Source = &Adj;
+    Slot.SourceRows = Adj.rows();
+    Slot.SourceNnz = Adj.nnz();
+  } else {
+    S.resizeValues(); // an unweighted LeakyReLU result cleared them
+  }
   if (S.rowOffsets().capacity() != OffCap ||
       S.colIndices().capacity() != ColCap || S.values().capacity() != ValCap)
     ++Allocations;
   return S;
+}
+
+void PlanWorkspace::forgetAdjacency() {
+  for (SparseSlot &Slot : SparseValues)
+    Slot.Source = nullptr;
+  Format.CscSource = nullptr;
+  Shard.SourceAdj = nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -342,8 +355,14 @@ private:
     val(Id).Vec = &V;
     return V;
   }
-  CsrMatrix &dstSparse(int Id, const CsrMatrix &Pattern) {
-    CsrMatrix &S = Ws.sparseFor(Id, Pattern);
+  /// Destination of a sparse step over \p Operand, which carries the bound
+  /// adjacency's pattern like every sparse value of the plan.
+  CsrMatrix &dstSparse(int Id, const CsrMatrix &Operand) {
+    const CsrMatrix &Adj = *Inputs.Adjacency;
+    assert(Operand.rows() == Adj.rows() && Operand.nnz() == Adj.nnz() &&
+           "sparse values share the adjacency's pattern");
+    (void)Operand;
+    CsrMatrix &S = Ws.sparseFor(Id, Adj);
     val(Id).Sparse = &S;
     return S;
   }
@@ -951,14 +970,18 @@ void PlanInterpreter::backward(ExecResult &Result, bool FeatureGrad,
   }
 }
 
-/// Rebuilds \p RS for (Policy, Adj) if it is stale; returns the setup
-/// seconds to charge (0 when the cache was already valid).
-double reorderSetup(const Executor &Exec, detail::ReorderState &RS,
+/// Rebuilds \p Ws's reorder state for (Policy, Adj) if it is stale;
+/// returns the setup seconds to charge (0 when the cache was already
+/// valid). The rebuilt PAP^T lives at the old one's address with the same
+/// size, so every cache keyed to it is dropped.
+double reorderSetup(const Executor &Exec, PlanWorkspace &Ws,
                     const CsrMatrix &Adj, const GraphStats &Stats,
                     ReorderPolicy Policy) {
+  detail::ReorderState &RS = Ws.reorderState();
   if (RS.Policy == Policy && RS.SourceAdj == &Adj &&
       RS.SourceNnz == Adj.nnz() && RS.PermAdj.rows() == Adj.rows())
     return 0.0;
+  Ws.forgetAdjacency();
   // Per-(policy, graph) preprocessing, hoisted like degree normalizations.
   // Charged as an edge-traversal primitive: the permutation build and the
   // PAP^T rewrite are both O(E)-dominated passes over the structure.
@@ -1142,7 +1165,7 @@ void Executor::execute(const CompositionPlan &Plan, const LayerInputs &Inputs,
   double PermSeconds = 0.0;
   LayerInputs Permuted;
   if (Policy != ReorderPolicy::None) {
-    SetupSeconds += reorderSetup(*this, RS, *Inputs.Adjacency, Stats, Policy);
+    SetupSeconds += reorderSetup(*this, Ws, *Inputs.Adjacency, Stats, Policy);
     Permuted = permuteInputs(*this, RS, Inputs, Ws, PermSeconds);
     Bound = &Permuted;
     BoundStats = &RS.PermStats;

@@ -259,9 +259,16 @@ public:
   /// any capacity growth.
   DenseMatrix &fit(DenseMatrix &M, int64_t Rows, int64_t Cols);
   std::vector<float> &fit(std::vector<float> &V, size_t Size);
-  /// Persistent sparse value: adopts \p PatternSource's pattern (copied
-  /// into place, reusing capacity) and exposes a value array of nnz floats.
-  CsrMatrix &sparseFor(int Id, const CsrMatrix &PatternSource);
+  /// Persistent sparse value on the bound adjacency \p Adj's pattern (every
+  /// sparse value of a plan shares it), with a value array of nnz floats.
+  /// The pattern is copied into place only when \p Adj is not the
+  /// adjacency the slot was last filled from (identity, rows and nnz: the
+  /// key of the CSC cache), so warm runs over one graph copy nothing.
+  CsrMatrix &sparseFor(int Id, const CsrMatrix &Adj);
+  /// Forgets which adjacency the sparse values, the CSC cache and the
+  /// shard blocks were built from, so the next run rebuilds them: for an
+  /// adjacency rewritten in place (the cached reordered graph).
+  void forgetAdjacency();
   const std::vector<PrimitiveDesc> &descs() const { return Descs; }
   std::vector<detail::RtValue> &scratch() { return Scratch; }
   /// The workspace's cached reordering state (empty until an executor run
@@ -288,7 +295,14 @@ private:
   std::optional<BufferPlan> Buffers;
   std::vector<DenseMatrix> DenseSlots;
   std::vector<std::vector<float>> VecSlots;
-  std::vector<CsrMatrix> SparseValues; ///< indexed by value id
+  /// A sparse value and the adjacency its pattern was copied from.
+  struct SparseSlot {
+    CsrMatrix M;
+    const CsrMatrix *Source = nullptr;
+    int64_t SourceRows = 0;
+    int64_t SourceNnz = 0;
+  };
+  std::vector<SparseSlot> SparseValues; ///< indexed by value id
   std::vector<PrimitiveDesc> Descs;
   std::vector<detail::RtValue> Scratch;
   detail::ReorderState Reorder;

@@ -378,6 +378,8 @@ void Engine::fillStats(StatsResponse &Out) const {
   Out.PlanCacheMisses = S.PlanCache.Misses;
   Out.PlanCacheDiskHits = S.PlanCache.DiskHits;
   Out.PlanCacheEvictions = S.PlanCache.Evictions;
+  Out.PlanCacheSpills = S.PlanCache.Spills;
+  Out.PlanCacheCorrupt = S.PlanCache.Corrupt;
   Out.Threads = ThreadPool::get().numThreads();
   Out.Isa = kernels::isaLevelName(kernels::activeIsaLevel());
 }

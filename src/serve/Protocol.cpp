@@ -225,6 +225,8 @@ granii::serve::encodeStatsResponse(const StatsResponse &Resp) {
   W.putU64(Resp.PlanCacheMisses);
   W.putU64(Resp.PlanCacheDiskHits);
   W.putU64(Resp.PlanCacheEvictions);
+  W.putU64(Resp.PlanCacheSpills);
+  W.putU64(Resp.PlanCacheCorrupt);
   W.putF64(Resp.UptimeSeconds);
   W.putI64(Resp.Threads);
   W.putString(Resp.Isa);
@@ -248,6 +250,8 @@ bool granii::serve::decodeStatsResponse(std::span<const uint8_t> Payload,
   Out.PlanCacheMisses = R.getU64();
   Out.PlanCacheDiskHits = R.getU64();
   Out.PlanCacheEvictions = R.getU64();
+  Out.PlanCacheSpills = R.getU64();
+  Out.PlanCacheCorrupt = R.getU64();
   Out.UptimeSeconds = R.getF64();
   Out.Threads = R.getI64();
   Out.Isa = R.getString();

@@ -126,6 +126,8 @@ struct StatsResponse {
   uint64_t PlanCacheMisses = 0;
   uint64_t PlanCacheDiskHits = 0;
   uint64_t PlanCacheEvictions = 0;
+  uint64_t PlanCacheSpills = 0;  ///< spill files written
+  uint64_t PlanCacheCorrupt = 0; ///< spill files deleted as unusable
   double UptimeSeconds = 0.0;
   int64_t Threads = 0;
   std::string Isa;

@@ -89,7 +89,8 @@ void granii::shard::shardedSpmmInto(const ShardSet &Set, ShardStaging &Stage,
                R) *
                   K;
           Ops.SpmmRowRange(Blk.RowOffsets.data(), Blk.LocalCols.data(),
-                           RowVals, LB.data(), K, DstBase, K, K, R, R + 1);
+                           RowVals, nullptr, LB.data(), K, DstBase, K, K, R,
+                           R + 1);
         }
       });
 }
@@ -105,6 +106,7 @@ void granii::shard::shardedSpmmCscTransposedInto(
                "sharded spmm_csc_t value array mismatch");
   Stage.ensureBackward(Set, K); // no-op once warmed to this width
   const SimdOps &Ops = kernels::simdOps();
+  const float *ValsPtr = Vals.empty() ? nullptr : Vals.data();
   const size_t RowBytes = static_cast<size_t>(K) * sizeof(float);
 
   ThreadPool::get().parallelForChunks(
@@ -117,22 +119,18 @@ void granii::shard::shardedSpmmCscTransposedInto(
         const int64_t Owned = static_cast<int64_t>(Blk.OwnedCols.size());
         for (int64_t C = 0; C < Owned; ++C) {
           // Entries of this column arrive in ascending global-row order —
-          // the exact entry order of the whole-graph CSC kernel — so the
-          // per-column operation sequence below replays it bitwise.
-          float *Out = Dst.rowPtr(Blk.OwnedCols[static_cast<size_t>(C)]);
-          std::fill(Out, Out + K, 0.0f);
-          const int64_t Begin = Blk.ColOffsets[static_cast<size_t>(C)];
-          const int64_t End = Blk.ColOffsets[static_cast<size_t>(C) + 1];
-          for (int64_t E = Begin; E < End; ++E) {
-            const float *Src =
-                LDY.rowPtr(Blk.RowSlots[static_cast<size_t>(E)]);
-            if (Vals.empty())
-              Ops.AddRange(Out, Src, Out, K);
-            else
-              Ops.AxpyRange(
-                  Vals[static_cast<size_t>(Blk.CsrIdx[static_cast<size_t>(E)])],
-                  Src, Out, K);
-          }
+          // the exact entry order of the whole-graph CSC kernel — and gather
+          // their values through the same global CSR index map, so the
+          // shared row routine replays it bitwise. The destination trick of
+          // the forward kernel lands local column C at its global row.
+          float *DstBase =
+              Dst.data() +
+              (static_cast<int64_t>(Blk.OwnedCols[static_cast<size_t>(C)]) -
+               C) *
+                  K;
+          Ops.SpmmRowRange(Blk.ColOffsets.data(), Blk.RowSlots.data(),
+                           ValsPtr, Blk.CsrIdx.data(), LDY.data(), K, DstBase,
+                           K, K, C, C + 1);
         }
       });
 }

@@ -75,6 +75,9 @@ public:
 
   /// Drops explicit weights, making the matrix unweighted.
   void clearValues() { Values.clear(); }
+  /// Sizes the value array to nnz(), keeping the pattern; contents are
+  /// unspecified, as after assignPattern.
+  void resizeValues() { Values.resize(ColIndices.size()); }
 
   /// \returns a dense copy (small matrices only; used by tests).
   DenseMatrix toDense() const;

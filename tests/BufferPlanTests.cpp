@@ -10,6 +10,7 @@
 
 #include "assoc/Enumerate.h"
 #include "graph/Generators.h"
+#include "graph/Reorder.h"
 #include "granii/Granii.h"
 #include "models/Models.h"
 #include "runtime/BufferPlan.h"
@@ -18,6 +19,8 @@
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 using namespace granii;
 
@@ -313,6 +316,85 @@ TEST(PlanWorkspaceExec, SteadyStatePerformsZeroAllocations) {
     for (int Rep = 0; Rep < 3; ++Rep)
       Exec.run(Plans[I], Params.inputs(), Params.Stats, Ws, R);
     EXPECT_EQ(Ws.allocationCount(), 0u) << "plan " << I;
+  }
+}
+
+namespace {
+
+bool sameBits(const DenseMatrix &A, const DenseMatrix &B) {
+  return A.rows() == B.rows() && A.cols() == B.cols() &&
+         std::memcmp(A.data(), B.data(),
+                     static_cast<size_t>(A.size()) * sizeof(float)) == 0;
+}
+
+} // namespace
+
+TEST(PlanWorkspaceExec, RebindingSameSizeGraphUsesItsPattern) {
+  // GAT's sparse intermediates (edge logits, LeakyReLU, softmax) keep the
+  // adjacency's pattern across warm runs. A different graph with the same
+  // rows and nnz (a relabeling) bound to the warm workspace must get its
+  // own pattern: the output equals a fresh run's bitwise, both ways round.
+  GnnModel M = makeModel(ModelKind::GAT);
+  const CsrMatrix &Base = skewedGraph().adjacency();
+  Graph Relabeled("relabeled",
+                  permuteSymmetric(Base, makeReorderPermutation(
+                                             ReorderPolicy::Degree, Base)));
+  LayerParams First = makeLayerParams(M, skewedGraph(), 16, 8, 5);
+  LayerParams Second = makeLayerParams(M, Relabeled, 16, 8, 5);
+  ASSERT_EQ(First.AdjSelf.rows(), Second.AdjSelf.rows());
+  ASSERT_EQ(First.AdjSelf.nnz(), Second.AdjSelf.nnz());
+  ASSERT_NE(First.AdjSelf.colIndices(), Second.AdjSelf.colIndices());
+  Executor Exec(HardwareModel::byName("cpu"));
+  auto Plans = enumerateCompositions(M.Root);
+  ASSERT_FALSE(Plans.empty());
+
+  for (size_t I = 0; I < Plans.size(); ++I) {
+    SCOPED_TRACE("plan " + std::to_string(I));
+    DenseMatrix WantFirst =
+        Exec.run(Plans[I], First.inputs(), First.Stats).Output;
+    DenseMatrix WantSecond =
+        Exec.run(Plans[I], Second.inputs(), Second.Stats).Output;
+    PlanWorkspace Ws;
+    ExecResult R;
+    Exec.run(Plans[I], First.inputs(), First.Stats, Ws, R);
+    Exec.run(Plans[I], First.inputs(), First.Stats, Ws, R); // warm
+    Exec.run(Plans[I], Second.inputs(), Second.Stats, Ws, R);
+    EXPECT_TRUE(sameBits(R.Output, WantSecond));
+    Exec.run(Plans[I], First.inputs(), First.Stats, Ws, R);
+    EXPECT_TRUE(sameBits(R.Output, WantFirst));
+  }
+}
+
+TEST(PlanWorkspaceExec, SwitchingReorderPolicyRebuildsGraphCaches) {
+  // The cached reordered graph is rewritten in place with the same size
+  // when the policy changes, so everything keyed to it (sparse values, the
+  // backward CSC, shard blocks) must be rebuilt: a warm workspace matches
+  // fresh runs of each policy bitwise, gradients included.
+  GnnModel M = makeModel(ModelKind::GAT);
+  LayerParams Params = makeLayerParams(M, skewedGraph(), 16, 8, 5);
+  Executor Exec(HardwareModel::byName("cpu"));
+  auto Plans = enumerateCompositions(M.Root);
+  ASSERT_FALSE(Plans.empty());
+  for (ShardSpec Sharding : {ShardSpec(), ShardSpec{2, ""}}) {
+    SCOPED_TRACE("shards " + std::to_string(Sharding.Shards));
+    auto Train = [&](PlanWorkspace &Ws, ReorderPolicy Policy) {
+      ExecResult R;
+      Exec.runTraining(Plans[0], Params.inputs(), Params.Stats, Ws, R, Policy,
+                       SparseFormat::Csr, Sharding, /*FeatureGrad=*/true);
+      return R;
+    };
+    PlanWorkspace Warm;
+    for (ReorderPolicy Policy :
+         {ReorderPolicy::Rcm, ReorderPolicy::Degree, ReorderPolicy::Rcm}) {
+      SCOPED_TRACE(reorderPolicyName(Policy));
+      PlanWorkspace Fresh;
+      ExecResult Want = Train(Fresh, Policy);
+      ExecResult Got = Train(Warm, Policy);
+      EXPECT_TRUE(sameBits(Got.Output, Want.Output));
+      EXPECT_TRUE(sameBits(Got.FeatureGrad, Want.FeatureGrad));
+      for (const auto &[Name, Grad] : Want.WeightGrads)
+        EXPECT_TRUE(sameBits(Got.WeightGrads.at(Name), Grad)) << Name;
+    }
   }
 }
 

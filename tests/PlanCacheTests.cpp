@@ -310,6 +310,10 @@ void expectEditedSpillRecompiles(
   EXPECT_FALSE(Resp.PlanCacheHit) << "the corrupt file must not be served";
   EXPECT_EQ(Second.stats().PlanCache.Corrupt, 1u);
   EXPECT_EQ(Second.stats().PlanCache.Spills, 1u) << "recompile writes back";
+  StatsResponse Wire; // what the `stats` verb sends
+  Second.fillStats(Wire);
+  EXPECT_EQ(Wire.PlanCacheCorrupt, 1u);
+  EXPECT_EQ(Wire.PlanCacheSpills, 1u);
   EXPECT_TRUE(Second.run(Req).Status.Ok) << "the engine keeps serving";
 
   Engine Third(Opts); // the rewritten file is a sound disk hit

@@ -331,6 +331,9 @@ TEST(Protocol, StatsResponseRoundTrip) {
   Resp.SessionHits = 4;
   Resp.PlanCacheHits = 5;
   Resp.PlanCacheMisses = 2;
+  Resp.PlanCacheEvictions = 7;
+  Resp.PlanCacheSpills = 8;
+  Resp.PlanCacheCorrupt = 9;
   Resp.UptimeSeconds = 12.5;
   Resp.Threads = 4;
   Resp.Isa = "avx2";
@@ -342,6 +345,9 @@ TEST(Protocol, StatsResponseRoundTrip) {
   EXPECT_EQ(Out.RunRequests, 6u);
   EXPECT_EQ(Out.SessionsLive, 3u);
   EXPECT_EQ(Out.PlanCacheHits, 5u);
+  EXPECT_EQ(Out.PlanCacheEvictions, 7u);
+  EXPECT_EQ(Out.PlanCacheSpills, 8u);
+  EXPECT_EQ(Out.PlanCacheCorrupt, 9u);
   EXPECT_DOUBLE_EQ(Out.UptimeSeconds, 12.5);
   EXPECT_EQ(Out.Isa, "avx2");
 }

@@ -408,7 +408,7 @@ TEST_F(ShardKernelBitwise, EmptyValueSpanMeansUnitWeightsAtEveryIsa) {
   Graph G = makeRmat(300, 2600, 0.55, 0.15, 0.15, 81, "unit");
   CsrMatrix Adj = G.adjacency();
   Adj.setValues(randomEdgeValues(Adj.nnz(), 97));
-  const int64_t K = 37; // vector bodies plus a scalar tail at every width
+  const int64_t K = 37; // vector bodies plus a masked tail at every width
   DenseMatrix B(Adj.rows(), K);
   fillMatrix(B, 13);
 

@@ -3,8 +3,9 @@
 // Covers the kernel dispatch layer (src/kernels/Dispatch.h): level parsing
 // and naming, CPUID-bounded level enumeration, the setIsaLevel override,
 // table completeness, the 64-byte alignment contract of the tensor storage,
-// and cross-ISA agreement of every dispatched kernel family on fixtures
-// whose shapes exercise both the vector bodies and the scalar tails.
+// cross-ISA agreement of every dispatched kernel family on fixtures whose
+// shapes exercise both the vector bodies and the tails, and the exact
+// per-element order of the register tiles and masked tails.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,12 +13,17 @@
 #include "kernels/Kernels.h"
 #include "support/Aligned.h"
 #include "support/Rng.h"
+#include "shard/Shard.h"
+#include "shard/ShardExec.h"
 #include "support/ThreadPool.h"
 #include "tensor/CooMatrix.h"
+#include "tensor/CscMatrix.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <tuple>
@@ -143,6 +149,7 @@ TEST(Dispatch, TablesAreFullyPopulated) {
     EXPECT_NE(Ops->AddRange, nullptr);
     EXPECT_NE(Ops->AxpyRange, nullptr);
     EXPECT_NE(Ops->ReluRange, nullptr);
+    EXPECT_NE(Ops->LeakyReluRange, nullptr);
     EXPECT_GE(Ops->DenseThroughputScale, 1.0);
     EXPECT_GE(Ops->SparseThroughputScale, 1.0);
   }
@@ -194,7 +201,7 @@ TEST(Alignment, AlignedVectorSurvivesGrowth) {
 //===----------------------------------------------------------------------===//
 //
 // Shapes deliberately avoid vector-width multiples (K = 45, N = 29, ...)
-// so every level runs both its vector body and its scalar tail.
+// so every level runs both its vector body and its tail.
 
 TEST(CrossIsa, GemmFamilyAgreesWithScalarLevel) {
   IsaLevelGuard Guard;
@@ -237,8 +244,8 @@ TEST(CrossIsa, GemmFamilyAgreesWithScalarLevel) {
 TEST(CrossIsa, GemmTransposedLhsIsBitwiseAcrossLevels) {
   // The weight-gradient GEMM adds rounded products in a fixed chunk and row
   // order at every level, so it agrees bit for bit (AVX-512 only where the
-  // host has it). Widths cover the 2-vector, 1-vector and scalar-tail
-  // paths; M spans a single chunk, a few and all of them, unevenly.
+  // host has it). Widths cover full tiles, short tiles and masked tails;
+  // M spans a single chunk, a few and all of them, unevenly.
   IsaLevelGuard Guard;
   for (auto [M, K, N] : {std::tuple<int64_t, int64_t, int64_t>{45, 37, 29},
                          {1000, 64, 64},
@@ -343,8 +350,9 @@ TEST(CrossIsa, SddmmAgreesWithScalarLevel) {
 }
 
 TEST(CrossIsa, ElementwiseOpsAreBitwiseAcrossLevels) {
-  // Scale, add, multiply, and ReLU apply the same single IEEE operation per
-  // element at every level; vectorization cannot change a bit.
+  // Scale, add, multiply, ReLU and LeakyReLU apply the same IEEE
+  // operations per element at every level; vectorization cannot change a
+  // bit.
   IsaLevelGuard Guard;
   DenseMatrix A = randomDense(23, 37, 41);
   DenseMatrix B = randomDense(23, 37, 42);
@@ -367,12 +375,29 @@ TEST(CrossIsa, ElementwiseOpsAreBitwiseAcrossLevels) {
   auto RowMul = [&](DenseMatrix &Out) {
     kernels::rowBroadcastMulInto(D, A, Out);
   };
+  // Edge LeakyReLU over A's values with the compare's edge cases planted:
+  // zeros of both signs, NaN and the infinities.
+  std::vector<float> Logits(A.data(), A.data() + A.size());
+  const float Inf = std::numeric_limits<float>::infinity();
+  const float Specials[] = {0.0f, -0.0f,
+                            std::numeric_limits<float>::quiet_NaN(), Inf,
+                            -Inf};
+  for (size_t I = 0; I < Logits.size(); I += 7)
+    Logits[I] = Specials[(I / 7) % 5];
+  auto LeakyRelu = [&] {
+    std::vector<float> Out(Logits.size());
+    kernels::leakyReluEdgesInto(Logits, 0.2f, Out);
+    return Out;
+  };
 
   ASSERT_TRUE(kernels::setIsaLevel(IsaLevel::Scalar));
   DenseMatrix RefRelu = Apply(Relu);
   DenseMatrix RefAdd = Apply(Add);
   DenseMatrix RefScale = Apply(Scale);
   DenseMatrix RefRowMul = Apply(RowMul);
+  std::vector<float> RefLeaky(Logits.size());
+  for (size_t I = 0; I < Logits.size(); ++I)
+    RefLeaky[I] = Logits[I] > 0.0f ? Logits[I] : 0.2f * Logits[I];
 
   for (IsaLevel Level : kernels::supportedIsaLevels()) {
     SCOPED_TRACE(kernels::isaLevelName(Level));
@@ -381,6 +406,11 @@ TEST(CrossIsa, ElementwiseOpsAreBitwiseAcrossLevels) {
     expectBitwiseEqual(Apply(Add), RefAdd, "addMatrices");
     expectBitwiseEqual(Apply(Scale), RefScale, "scaleMatrix");
     expectBitwiseEqual(Apply(RowMul), RefRowMul, "rowBroadcastMul");
+    std::vector<float> Leaky = LeakyRelu();
+    EXPECT_EQ(std::memcmp(Leaky.data(), RefLeaky.data(),
+                          RefLeaky.size() * sizeof(float)),
+              0)
+        << "leakyReluEdges differs from x > 0 ? x : slope * x";
   }
 }
 
@@ -423,4 +453,178 @@ TEST(CrossIsa, WithinLevelResultsAreThreadCountInvariant) {
         << "thread count changed spmm output";
   }
   ThreadPool::get().setNumThreads(EntryThreads);
+}
+
+//===----------------------------------------------------------------------===//
+// Exact per-element order across tiles and tails
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Runs \p Body at every supported level and at 1 and 4 threads.
+template <class Fn> void forEveryLevelAndThreadCount(Fn Body) {
+  IsaLevelGuard Guard;
+  const int EntryThreads = ThreadPool::get().numThreads();
+  for (IsaLevel Level : kernels::supportedIsaLevels()) {
+    ASSERT_TRUE(kernels::setIsaLevel(Level));
+    for (int Threads : {1, 4}) {
+      SCOPED_TRACE(std::string(kernels::isaLevelName(Level)) + ", " +
+                   std::to_string(Threads) + " threads");
+      ThreadPool::get().setNumThreads(Threads);
+      Body(Level);
+    }
+  }
+  ThreadPool::get().setNumThreads(EntryThreads);
+}
+
+/// One step of an element's multiply-accumulate chain at \p Level: the
+/// scalar table multiplies then adds, the vector tables fuse.
+float mulAdd(IsaLevel Level, float A, float B, float Acc) {
+  return Level == IsaLevel::Scalar ? Acc + A * B : std::fma(A, B, Acc);
+}
+
+void expectSameBits(const DenseMatrix &Got, const DenseMatrix &Want,
+                    const std::string &What) {
+  ASSERT_EQ(Got.rows(), Want.rows());
+  ASSERT_EQ(Got.cols(), Want.cols());
+  EXPECT_EQ(std::memcmp(Got.data(), Want.data(),
+                        static_cast<size_t>(Want.size()) * sizeof(float)),
+            0)
+      << What << " differs from its per-element reference by "
+      << Got.maxAbsDiff(Want);
+}
+
+/// Rows of \p A x \p B in edge order: each element is 0 + b1 + b2 ... for
+/// unit weights or the level's multiply-accumulate chain over the weights.
+/// \p Transposed accumulates into the column's row instead (A^T * B); the
+/// CSR scan visits every column's entries in ascending row order, the CSC
+/// entry order.
+DenseMatrix spmmReference(IsaLevel Level, const CsrMatrix &A,
+                          std::span<const float> Vals, const DenseMatrix &B,
+                          bool Transposed) {
+  DenseMatrix Out(Transposed ? A.cols() : A.rows(), B.cols());
+  Out.fill(0.0f);
+  for (int64_t R = 0; R < A.rows(); ++R)
+    for (int64_t K = A.rowOffsets()[R]; K < A.rowOffsets()[R + 1]; ++K) {
+      const int64_t C = A.colIndices()[static_cast<size_t>(K)];
+      const float *Src = B.rowPtr(Transposed ? R : C);
+      float *Dst = Out.rowPtr(Transposed ? C : R);
+      for (int64_t J = 0; J < B.cols(); ++J)
+        Dst[J] = Vals.empty()
+                     ? Dst[J] + Src[J]
+                     : mulAdd(Level, Vals[static_cast<size_t>(K)], Src[J],
+                              Dst[J]);
+    }
+  return Out;
+}
+
+} // namespace
+
+TEST(ExactOrder, SpmmTilesAndTailsMatchPerElementReference) {
+  // Widths straddle every tile shape: single vectors, masked tails, one and
+  // several full AVX-512 / AVX2 tiles, and tiles plus a short remainder.
+  // The graph has empty rows and columns, so empty edge spans are covered.
+  CsrMatrix Adj = randomSparse(90, 90, 700, 71, /*Weighted=*/true);
+  CscMatrix Csc = CscMatrix::fromCsr(Adj);
+  shard::ShardSet Set =
+      shard::ShardSet::build(Adj, shard::partitionGraph(Adj, 4));
+  ASSERT_EQ(Set.numShards(), 4);
+  for (int64_t Width : {1, 7, 15, 16, 17, 33, 63, 64, 65, 100, 130}) {
+    SCOPED_TRACE("width " + std::to_string(Width));
+    DenseMatrix B = randomDense(90, Width, 72 + static_cast<uint64_t>(Width));
+    for (bool Weighted : {true, false}) {
+      SCOPED_TRACE(Weighted ? "weighted" : "empty span");
+      const std::span<const float> Vals =
+          Weighted ? std::span<const float>(Adj.values())
+                   : std::span<const float>();
+      forEveryLevelAndThreadCount([&](IsaLevel Level) {
+        const DenseMatrix Fwd = spmmReference(Level, Adj, Vals, B, false);
+        const DenseMatrix Bwd = spmmReference(Level, Adj, Vals, B, true);
+        DenseMatrix Got(90, Width);
+        Got.fill(7.0f); // stale destination contents must not leak
+        kernels::spmmInto(Adj, Vals, B, Got);
+        expectSameBits(Got, Fwd, "spmmInto");
+        Got.fill(7.0f);
+        kernels::spmmCscTransposedInto(Csc, Vals, B, Got);
+        expectSameBits(Got, Bwd, "spmmCscTransposedInto");
+        shard::ShardStaging Stage;
+        Got.fill(7.0f);
+        shard::shardedSpmmInto(Set, Stage, Vals, B, Got);
+        expectSameBits(Got, Fwd, "shardedSpmmInto");
+        Got.fill(7.0f);
+        shard::shardedSpmmCscTransposedInto(Set, Stage, Vals, B, Got);
+        expectSameBits(Got, Bwd, "shardedSpmmCscTransposedInto");
+      });
+    }
+  }
+}
+
+TEST(ExactOrder, GemmTilesAndTailsMatchPerElementReference) {
+  // Row counts cover full 4-row blocks, single-row leftovers and both; the
+  // widths cover masked single vectors, full tiles and tiles plus a tail.
+  constexpr int64_t K = 37;
+  for (int64_t M : {1, 3, 4, 5, 4 * 5 + 3}) {
+    for (int64_t N : {1, 15, 16, 17, 33, 64, 70}) {
+      SCOPED_TRACE(std::to_string(M) + "x" + std::to_string(K) + "x" +
+                   std::to_string(N));
+      DenseMatrix A = randomDense(M, K, 81);
+      DenseMatrix B = randomDense(K, N, 82);
+      forEveryLevelAndThreadCount([&](IsaLevel Level) {
+        // Ascending K; the scalar table also skips zero A entries.
+        DenseMatrix Want(M, N);
+        for (int64_t I = 0; I < M; ++I)
+          for (int64_t J = 0; J < N; ++J) {
+            float Acc = 0.0f;
+            for (int64_t KK = 0; KK < K; ++KK)
+              if (Level != IsaLevel::Scalar || A.at(I, KK) != 0.0f)
+                Acc = mulAdd(Level, A.at(I, KK), B.at(KK, J), Acc);
+            Want.at(I, J) = Acc;
+          }
+        DenseMatrix Got(M, N);
+        Got.fill(7.0f);
+        kernels::gemmInto(A, B, Got);
+        expectSameBits(Got, Want, "gemmInto");
+      });
+    }
+  }
+}
+
+TEST(ExactOrder, GemmTransposedLhsTilesAndTailsMatchPerElementReference) {
+  // C = A^T * B with C row counts (A's columns) {1, 3, 4, 5, 23}. Every
+  // level sums each contraction chunk as rounded products plus rounded
+  // sums over ascending I, then adds the chunk partials in chunk order; the
+  // larger contraction spans several chunks.
+  for (int64_t M : {45, 700}) {
+    for (int64_t KOut : {1, 3, 4, 5, 4 * 5 + 3}) {
+      for (int64_t N : {1, 15, 16, 17, 33, 64, 70}) {
+        SCOPED_TRACE(std::to_string(M) + "x" + std::to_string(KOut) + "x" +
+                     std::to_string(N));
+        DenseMatrix A = randomDense(M, KOut, 91);
+        DenseMatrix B = randomDense(M, N, 92);
+        const int64_t Chunks = static_cast<int64_t>(
+            kernels::gemmTransposedLhsPartialFloats(M, KOut, N)) /
+                (KOut * N) + 1;
+        DenseMatrix Want(KOut, N);
+        for (int64_t R = 0; R < KOut; ++R)
+          for (int64_t J = 0; J < N; ++J) {
+            float Sum = 0.0f;
+            for (int64_t C = 0; C < Chunks; ++C) {
+              float Acc = 0.0f;
+              for (int64_t I = C * M / Chunks; I < (C + 1) * M / Chunks; ++I) {
+                volatile float Product = A.at(I, R) * B.at(I, J);
+                Acc += Product;
+              }
+              Sum = C == 0 ? Acc : Sum + Acc;
+            }
+            Want.at(R, J) = Sum;
+          }
+        forEveryLevelAndThreadCount([&](IsaLevel) {
+          DenseMatrix Got(KOut, N);
+          Got.fill(7.0f);
+          gemmTLhs(A, B, Got);
+          expectSameBits(Got, Want, "gemmTransposedLhsInto");
+        });
+      }
+    }
+  }
 }

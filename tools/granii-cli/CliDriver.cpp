@@ -638,7 +638,9 @@ int cmdCall(const ArgParser &Args, std::string &Out, std::string &Err) {
     Out += "plan cache: " + std::to_string(Resp.PlanCacheHits) +
            " hit(s), " + std::to_string(Resp.PlanCacheMisses) + " miss(es), " +
            std::to_string(Resp.PlanCacheDiskHits) + " disk hit(s), " +
-           std::to_string(Resp.PlanCacheEvictions) + " eviction(s)\n";
+           std::to_string(Resp.PlanCacheEvictions) + " eviction(s), " +
+           std::to_string(Resp.PlanCacheSpills) + " spill(s), " +
+           std::to_string(Resp.PlanCacheCorrupt) + " corrupt\n";
     Out += "pool: " + std::to_string(Resp.Threads) + " thread(s), isa " +
            Resp.Isa + "\n";
     return 0;
